@@ -16,6 +16,14 @@ echo "== tier-1: build + tests (offline) =="
 cargo build --release --workspace --offline
 cargo test -q --workspace --offline
 
+echo "== benchmark: perfbench builds and self-tests (offline) =="
+# perfbench is a cargo package of its own, outside the workspace, so the
+# workspace build above never compiles it. Building it here makes a crate
+# API change that breaks the benchmark fail CI. The self-test runs its unit
+# tests and checks that both workloads' simulated outputs are correct and
+# do not depend on the seed.
+python3 perfbench/run.py --self-test
+
 echo "== conformance: fuzz smoke (fixed seed, offline) =="
 # Bounded differential-fuzz run; deterministic for a given seed, so a
 # failure here is reproducible with the printed (engine, seed, case).

@@ -25,7 +25,7 @@ use uve_bench::{header, row, Cli, Measured, Runner};
 use uve_cpu::CpuConfig;
 use uve_isa::MemLevel;
 use uve_kernels::{Benchmark, Flavor};
-use uve_smp::{relocate_trace, run_lockstep, run_multiprogrammed, shard_trace, MpConfig, SmpRun};
+use uve_smp::{relocate_trace, run_multiprogrammed, run_sharded, MpConfig, SmpRun};
 
 /// The 19-kernel evaluation suite, optionally at smoke-test sizes.
 fn suite(small: bool) -> Vec<Box<dyn Benchmark>> {
@@ -144,10 +144,7 @@ fn main() {
             cores
                 .iter()
                 .map(|&n| {
-                    let traces: Vec<_> = (0..n)
-                        .map(|c| shard_trace(&trace.trace, c, shared))
-                        .collect();
-                    run_lockstep(&cpu, &traces, check_every)
+                    run_sharded(&cpu, &trace.trace, n, shared, check_every)
                         .expect("single-writer MOESI invariant violated")
                 })
                 .collect()

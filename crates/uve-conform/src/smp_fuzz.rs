@@ -9,7 +9,9 @@
 //!    holds under the periodic full scan, every core's cycle accounting
 //!    conserves, every core commits exactly the trace's instruction count,
 //!    and a second identical run is bit-identical (cycles and snoop
-//!    counters);
+//!    counters); [`uve_smp::run_sharded`], which relocates lines as the
+//!    cores request them instead of copying the trace, must return the
+//!    same [`uve_smp::SmpRun`] in every field;
 //! 2. **preemptive multiprogramming** ([`uve_smp::run_multiprogrammed`]
 //!    over [`uve_smp::relocate_trace`]d copies, one more program than
 //!    cores): same coherence/conservation/commit checks per program, plus
@@ -34,7 +36,9 @@ use uve_core::{EmuConfig, Emulator, Trace};
 use uve_cpu::CpuConfig;
 use uve_kernels::Flavor;
 use uve_mem::Memory;
-use uve_smp::{relocate_trace, run_lockstep, run_multiprogrammed, shard_trace, Job, MpConfig};
+use uve_smp::{
+    relocate_trace, run_lockstep, run_multiprogrammed, run_sharded, shard_trace, Job, MpConfig,
+};
 
 /// One multicore-conformance case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +124,14 @@ impl Engine for SmpEngine {
                     trace.committed()
                 ));
             }
+        }
+        let sharded = run_sharded(&cpu, trace, case.cores, case.shared, 32)
+            .map_err(|v| format!("{}: {v}", ctx("sharded single-writer violation")))?;
+        if sharded != first {
+            return Err(format!(
+                "{}: {sharded:?} vs copies {first:?}",
+                ctx("run_sharded differs from lockstep over shard_trace copies")
+            ));
         }
         let again = lockstep()?;
         let cycles =

@@ -24,8 +24,7 @@
 //! and miss-speculated reads re-use buffered data without new memory
 //! requests (architectural opportunity A3).
 
-use crate::trace::{ChunkMeta, StreamInstance, StreamTrace};
-use std::collections::HashMap;
+use crate::trace::{ChunkMeta, Relocation, StreamInstance, StreamTrace};
 use uve_isa::{Dir, MemLevel};
 use uve_mem::{MemPort, Path, Translation, LINE_BYTES};
 
@@ -247,7 +246,14 @@ impl EngStream {
 #[derive(Debug)]
 pub struct EngineSim {
     cfg: EngineConfig,
-    streams: HashMap<StreamInstance, EngStream>,
+    /// The Stream Table: one slot per stream instance (instances index the
+    /// trace's stream side tables), `Some` while the instance is open.
+    slots: Vec<Option<EngStream>>,
+    /// Open instances, ascending.
+    open: Vec<StreamInstance>,
+    /// Scheduler scratch, reused every cycle: `(occupancy, instance)` of
+    /// the eligible streams.
+    eligible: Vec<(usize, StreamInstance)>,
     scrob_free: u64,
     stats: EngineStats,
 }
@@ -257,7 +263,9 @@ impl EngineSim {
     pub fn new(cfg: EngineConfig) -> Self {
         Self {
             cfg,
-            streams: HashMap::new(),
+            slots: Vec::new(),
+            open: Vec::new(),
+            eligible: Vec::new(),
             scrob_free: 0,
             stats: EngineStats::default(),
         }
@@ -280,30 +288,52 @@ impl EngineSim {
         let start = self.scrob_free.max(now) + u64::from(info.cfg_insts);
         self.scrob_free = start;
         let path = level_path(info.level);
-        self.streams.insert(
-            instance,
-            EngStream {
-                dir: info.dir,
-                path,
-                start_cycle: start,
-                next_chunk: 0,
-                line_idx: 0,
-                penalty: 0,
-                penalty_charged: false,
-                inflight_ready: 0,
-                ready: Vec::new(),
-                last_line: None,
-                committed: 0,
-                attempts: 0,
-                retry_at: 0,
-            },
-        );
-        self.stats.peak_streams = self.stats.peak_streams.max(self.streams.len());
+        let i = instance as usize;
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        if self.slots[i].is_none() {
+            let at = self.open.partition_point(|&o| o < instance);
+            self.open.insert(at, instance);
+        }
+        self.slots[i] = Some(EngStream {
+            dir: info.dir,
+            path,
+            start_cycle: start,
+            next_chunk: 0,
+            line_idx: 0,
+            penalty: 0,
+            penalty_charged: false,
+            inflight_ready: 0,
+            ready: Vec::new(),
+            last_line: None,
+            committed: 0,
+            attempts: 0,
+            retry_at: 0,
+        });
+        self.stats.peak_streams = self.stats.peak_streams.max(self.open.len());
     }
 
     /// Deallocates a stream's engine structures (termination at commit).
+    /// Closing an instance that is not open does nothing.
     pub fn close(&mut self, instance: StreamInstance) {
-        self.streams.remove(&instance);
+        let Some(slot) = self.slots.get_mut(instance as usize) else {
+            return;
+        };
+        if slot.take().is_some() {
+            let at = self.open.partition_point(|&o| o < instance);
+            self.open.remove(at);
+        }
+    }
+
+    fn stream(&self, instance: StreamInstance) -> Option<&EngStream> {
+        self.slots.get(instance as usize).and_then(Option::as_ref)
+    }
+
+    fn stream_mut(&mut self, instance: StreamInstance) -> Option<&mut EngStream> {
+        self.slots
+            .get_mut(instance as usize)
+            .and_then(Option::as_mut)
     }
 
     /// Advances the engine by one cycle: the scheduler picks up to
@@ -312,38 +342,44 @@ impl EngineSim {
     ///
     /// Generic over [`MemPort`] so the same engine runs against the
     /// single-core hierarchy or one core's port into the shared multicore
-    /// hierarchy.
-    pub fn tick<M: MemPort>(&mut self, now: u64, streams: &[StreamTrace], mem: &mut M) {
-        // Observability: sample every open stream's FIFO occupancy. The
-        // iteration order over the HashMap is arbitrary, but the samples are
-        // commutative counter increments, so the result is deterministic.
-        for (inst, s) in self.streams.iter() {
-            self.stats
-                .fifo
-                .record(streams[*inst as usize].u, s.occupancy());
+    /// hierarchy. Every line is moved by `reloc` before it is translated
+    /// or requested.
+    pub fn tick<M: MemPort>(
+        &mut self,
+        now: u64,
+        streams: &[StreamTrace],
+        reloc: &Relocation,
+        mem: &mut M,
+    ) {
+        // Observability: sample every open stream's FIFO occupancy, and
+        // collect the scheduler's candidates.
+        let mut eligible = std::mem::take(&mut self.eligible);
+        eligible.clear();
+        for &inst in &self.open {
+            let Some(s) = self.slots[inst as usize].as_ref() else {
+                continue;
+            };
+            let info = &streams[inst as usize];
+            self.stats.fifo.record(info.u, s.occupancy());
+            if s.start_cycle <= now
+                && s.retry_at <= now
+                && s.next_chunk < info.chunks.len()
+                && s.occupancy() < self.cfg.fifo_depth
+            {
+                eligible.push((s.occupancy(), inst));
+            }
         }
         // Scheduler: select eligible streams by ascending occupancy.
-        let mut eligible: Vec<(usize, StreamInstance)> = self
-            .streams
-            .iter()
-            .filter(|(inst, s)| {
-                s.start_cycle <= now
-                    && s.retry_at <= now
-                    && s.next_chunk < streams[**inst as usize].chunks.len()
-                    && s.occupancy() < self.cfg.fifo_depth
-            })
-            .map(|(inst, s)| (s.occupancy(), *inst))
-            .collect();
         eligible.sort_unstable();
         eligible.truncate(self.cfg.processing_modules);
         if !eligible.is_empty() {
             self.stats.active_cycles += 1;
         }
-        for (_, inst) in eligible {
-            // `eligible` was drawn from `self.streams` above; a missing
+        for &(_, inst) in &eligible {
+            // `eligible` was drawn from the open slots above; a missing
             // entry would be a scheduler bug, degraded to a skipped slot
             // rather than a panic.
-            let Some(s) = self.streams.get_mut(&inst) else {
+            let Some(s) = self.slots[inst as usize].as_mut() else {
                 continue;
             };
             let chunks: &[ChunkMeta] = &streams[inst as usize].chunks;
@@ -362,7 +398,7 @@ impl EngineSim {
                 finish_chunk(s, now, &mut self.stats);
                 continue;
             }
-            let line = chunk.lines[s.line_idx];
+            let line = reloc.line(chunk.lines[s.line_idx]);
             match s.dir {
                 Dir::Load => {
                     // Cross-iteration coalescing: a repeat of the stream's
@@ -437,24 +473,15 @@ impl EngineSim {
             }
             s.line_idx += 1;
             if s.line_idx == chunk.lines.len() {
-                static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-                let trace_on = *TRACE.get_or_init(|| std::env::var("UVE_ENGINE_TRACE").is_ok());
-                if trace_on && (s.next_chunk % 512 < 4) {
-                    eprintln!(
-                        "engine: inst={inst} chunk={} fetched_at={now} ready={} committed={}",
-                        s.next_chunk,
-                        s.inflight_ready.max(now),
-                        s.committed
-                    );
-                }
                 finish_chunk(s, now, &mut self.stats);
             }
         }
+        self.eligible = eligible;
     }
 
     /// Availability of a chunk at the register-file interface.
     pub fn chunk_status(&self, instance: StreamInstance, chunk: u32) -> ChunkStatus {
-        match self.streams.get(&instance) {
+        match self.stream(instance) {
             Some(s) => match s.ready.get(chunk as usize) {
                 Some(&r) => ChunkStatus::Ready(r),
                 None => ChunkStatus::NotFetched,
@@ -465,29 +492,36 @@ impl EngineSim {
 
     /// Commits a consumed load chunk, freeing its FIFO entry.
     pub fn commit_read(&mut self, instance: StreamInstance, chunk: u32) {
-        if let Some(s) = self.streams.get_mut(&instance) {
+        if let Some(s) = self.stream_mut(instance) {
             s.committed = s.committed.max(chunk as usize + 1);
         }
     }
 
     /// Commits a produced store chunk: the buffered data is written to the
-    /// memory hierarchy and the FIFO entry freed.
+    /// memory hierarchy (each line moved by `reloc`) and the FIFO entry
+    /// freed.
     pub fn commit_write<M: MemPort>(
         &mut self,
         instance: StreamInstance,
         chunk: u32,
         now: u64,
         streams: &[StreamTrace],
+        reloc: &Relocation,
         mem: &mut M,
     ) {
-        if let Some(s) = self.streams.get_mut(&instance) {
+        if let Some(s) = self.stream_mut(instance) {
             s.committed = s.committed.max(chunk as usize + 1);
             let path = s.path;
             if let Some(meta) = streams[instance as usize].chunks.get(chunk as usize) {
                 for &line in &meta.lines {
                     // The descriptor describes the exact store pattern, so
                     // full lines are written without an allocate-read.
-                    mem.write_full_line(line * LINE_BYTES, u64::from(instance), now, path);
+                    mem.write_full_line(
+                        reloc.line(line) * LINE_BYTES,
+                        u64::from(instance),
+                        now,
+                        path,
+                    );
                 }
             }
         }
@@ -501,28 +535,24 @@ impl EngineSim {
 
     /// Number of currently open streams.
     pub fn open_streams(&self) -> usize {
-        self.streams.len()
+        self.open.len()
     }
 
     /// True while `instance` is retrying an injected fault (backing off or
     /// mid-retry) — the core attributes head-of-ROB stalls on such a
     /// stream to the `fault-replay` cycle category.
     pub fn in_fault_replay(&self, instance: StreamInstance, now: u64) -> bool {
-        self.streams
-            .get(&instance)
+        self.stream(instance)
             .is_some_and(|s| s.attempts > 0 || s.retry_at > now)
     }
 
     /// Current `(instance, FIFO occupancy)` of every open stream, sorted by
     /// instance — the event-log poll for occupancy timelines.
     pub fn occupancies(&self) -> Vec<(StreamInstance, usize)> {
-        let mut v: Vec<(StreamInstance, usize)> = self
-            .streams
+        self.open
             .iter()
-            .map(|(inst, s)| (*inst, s.occupancy()))
-            .collect();
-        v.sort_unstable();
-        v
+            .filter_map(|&inst| Some((inst, self.stream(inst)?.occupancy())))
+            .collect()
     }
 }
 
@@ -611,7 +641,7 @@ mod tests {
         // After a few cycles, all three chunks should be fetched without any
         // CPU consumption.
         for now in 0..10 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         assert!(matches!(e.chunk_status(0, 0), ChunkStatus::Ready(_)));
         assert!(matches!(e.chunk_status(0, 2), ChunkStatus::Ready(_)));
@@ -630,7 +660,7 @@ mod tests {
         let mut m = mem();
         e.open(0, &streams[0], 0);
         for now in 0..100 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         // Only fifo_depth chunks fetched without commits.
         assert!(matches!(e.chunk_status(0, 3), ChunkStatus::Ready(_)));
@@ -638,7 +668,7 @@ mod tests {
         // Committing frees an entry; the engine continues.
         e.commit_read(0, 0);
         for now in 100..110 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         assert!(matches!(e.chunk_status(0, 4), ChunkStatus::Ready(_)));
     }
@@ -659,7 +689,7 @@ mod tests {
         e.open(0, &streams[0], 0);
         e.open(1, &streams[1], 0);
         for now in 0..12 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         // Both streams progressed (round-robin via occupancy priority).
         assert!(matches!(e.chunk_status(0, 1), ChunkStatus::Ready(_)));
@@ -678,12 +708,12 @@ mod tests {
         let mut m = mem();
         e.open(0, &streams[0], 0);
         for now in 0..2 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         // cfg(1 cycle SCROB) + 3 penalty cycles not yet elapsed.
         assert_eq!(e.chunk_status(0, 0), ChunkStatus::NotFetched);
         for now in 2..8 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         assert!(matches!(e.chunk_status(0, 0), ChunkStatus::Ready(_)));
         assert_eq!(e.stats().dim_switch_cycles, 3);
@@ -696,12 +726,12 @@ mod tests {
         let mut m = mem();
         e.open(0, &streams[0], 0);
         for now in 0..5 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         // Address generated, no memory write yet.
         assert!(matches!(e.chunk_status(0, 0), ChunkStatus::Ready(_)));
         assert_eq!(m.stats().writes, 0);
-        e.commit_write(0, 0, 10, &streams, &mut m);
+        e.commit_write(0, 0, 10, &streams, &Relocation::identity(), &mut m);
         assert_eq!(m.stats().writes, 1);
     }
 
@@ -717,12 +747,12 @@ mod tests {
         // Stream 1's config completes only after stream 0's (1 cycle) plus
         // its own 4 instructions.
         let mut m = mem();
-        e.tick(1, &streams, &mut m); // stream 0 eligible at cycle 1
+        e.tick(1, &streams, &Relocation::identity(), &mut m); // stream 0 eligible at cycle 1
         assert_eq!(e.stats().line_requests, 1);
-        e.tick(2, &streams, &mut m); // stream 1 not yet (starts at 5)
+        e.tick(2, &streams, &Relocation::identity(), &mut m); // stream 1 not yet (starts at 5)
         assert_eq!(e.stats().line_requests, 1);
         for now in 3..8 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         assert_eq!(e.stats().line_requests, 2);
     }
@@ -735,7 +765,7 @@ mod tests {
         m.tlb_mut().mark_faulting(0x100 * 64);
         e.open(0, &streams[0], 0);
         for now in 0..10 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         assert_eq!(e.stats().page_faults, 1);
         // The faulting chunk is still delivered (flagged) and the stream
@@ -755,7 +785,7 @@ mod tests {
         let mut m = mem();
         e.open(0, &streams[0], 0);
         for now in 0..40 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         assert_eq!(e.stats().page_faults, 0);
         assert!(e.stats().tlb_walk_cycles > 0);
@@ -770,7 +800,7 @@ mod tests {
         let mut m = mem();
         e.open(0, &streams[0], 0);
         for now in 0..50 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         let fifo = e.stats().fifo;
         // One open stream sampled once per cycle.
@@ -786,16 +816,15 @@ mod tests {
 
     #[test]
     fn occupancies_reports_open_streams_sorted() {
-        let streams = vec![
-            mk_stream(Dir::Load, (0..4).map(|i| lines(&[i])).collect()),
-            mk_stream(Dir::Load, (100..104).map(|i| lines(&[i])).collect()),
-        ];
+        let streams: Vec<StreamTrace> = (0..4)
+            .map(|s| mk_stream(Dir::Load, (0..4).map(|i| lines(&[s * 100 + i])).collect()))
+            .collect();
         let mut e = EngineSim::new(EngineConfig::default());
         let mut m = mem();
         e.open(1, &streams[1], 0);
         e.open(0, &streams[0], 0);
         for now in 0..20 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
         }
         let occ = e.occupancies();
         assert_eq!(occ.len(), 2);
@@ -803,6 +832,13 @@ mod tests {
         assert!(occ
             .iter()
             .all(|&(_, o)| o <= EngineConfig::default().fifo_depth));
+        // Order holds through closes and out-of-order reopens.
+        e.open(3, &streams[3], 20);
+        e.close(0);
+        e.open(2, &streams[2], 20);
+        e.open(0, &streams[0], 20);
+        let insts: Vec<StreamInstance> = e.occupancies().iter().map(|&(i, _)| i).collect();
+        assert_eq!(insts, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -827,7 +863,7 @@ mod tests {
         let mut saw_replay = false;
         let mut now = 0;
         while !matches!(e.chunk_status(0, 31), ChunkStatus::Ready(_)) {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
             saw_replay |= e.in_fault_replay(0, now);
             e.commit_read(0, 0); // keep the FIFO drained
             if let ChunkStatus::Ready(_) = e.chunk_status(0, 0) {
@@ -856,12 +892,43 @@ mod tests {
         let mut m = mem();
         e.open(0, &streams[0], 0);
         for now in 0..50 {
-            e.tick(now, &streams, &mut m);
+            e.tick(now, &streams, &Relocation::identity(), &mut m);
             assert!(!e.in_fault_replay(0, now));
         }
         let st = e.stats();
         assert_eq!(st.transient_retries, 0);
         assert_eq!(st.poisoned_replays, 0);
+    }
+
+    #[test]
+    fn reopening_an_open_instance_keeps_peak_streams() {
+        let streams = [mk_stream(Dir::Load, vec![lines(&[1])])];
+        let mut e = EngineSim::new(EngineConfig::default());
+        e.open(0, &streams[0], 0);
+        e.open(0, &streams[0], 5);
+        assert_eq!(e.open_streams(), 1);
+        assert_eq!(e.stats().peak_streams, 1);
+        assert_eq!(e.occupancies(), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn closing_an_unknown_or_closed_instance_is_a_noop() {
+        let streams = [
+            mk_stream(Dir::Load, vec![lines(&[1])]),
+            mk_stream(Dir::Load, vec![lines(&[2])]),
+        ];
+        let mut e = EngineSim::new(EngineConfig::default());
+        e.close(7);
+        e.open(1, &streams[1], 0);
+        e.close(0);
+        e.close(9);
+        assert_eq!(e.open_streams(), 1);
+        e.close(1);
+        e.close(1);
+        assert_eq!(e.open_streams(), 0);
+        assert!(e.occupancies().is_empty());
+        e.open(0, &streams[0], 0);
+        assert_eq!(e.occupancies(), vec![(0, 0)]);
     }
 
     #[test]

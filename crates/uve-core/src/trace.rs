@@ -11,7 +11,9 @@
 //! cycle, one extra cycle per descriptor-dimension switch, same-line
 //! coalescing) without re-walking descriptors.
 
+use std::sync::Arc;
 use uve_isa::{Dir, ElemWidth, ExecClass, MemLevel, RegRef};
+use uve_mem::LINE_BYTES;
 
 /// Identifier of a dynamic stream instance (one per completed stream
 /// configuration; a register reconfigured `n` times yields `n` instances).
@@ -172,9 +174,103 @@ impl Trace {
     }
 }
 
+/// A per-core move of a trace's private cache lines, applied to each line
+/// as the timing model requests it.
+///
+/// The multicore sharded mode runs one trace on every core with that
+/// core's private lines shifted by a per-core `delta`. Relocating at the
+/// request sites (load issue, store commit, stream line requests and
+/// stream store commits) gives the same addresses as relocating a copy of
+/// the trace up front, without the copy. Private lines are held as sorted,
+/// disjoint half-open ranges shared by every core's relocation.
+#[derive(Debug, Clone)]
+pub struct Relocation {
+    private: Arc<[(u64, u64)]>,
+    delta: u64,
+}
+
+impl Relocation {
+    /// The relocation that moves nothing.
+    pub fn identity() -> Self {
+        Self {
+            private: Arc::from(Vec::new()),
+            delta: 0,
+        }
+    }
+
+    /// Moves every line in `private` by `delta` lines; every other line
+    /// stays where it is.
+    pub fn new(private: impl IntoIterator<Item = u64>, delta: u64) -> Self {
+        let mut lines: Vec<u64> = private.into_iter().collect();
+        lines.sort_unstable();
+        lines.dedup();
+        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        for line in lines {
+            match ranges.last_mut() {
+                Some((_, end)) if *end == line => *end += 1,
+                _ => ranges.push((line, line + 1)),
+            }
+        }
+        Self {
+            private: ranges.into(),
+            delta,
+        }
+    }
+
+    /// The same private lines moved by `delta` instead.
+    pub fn with_delta(&self, delta: u64) -> Self {
+        Self {
+            private: Arc::clone(&self.private),
+            delta,
+        }
+    }
+
+    /// Where `line` lives under this relocation.
+    #[inline]
+    pub fn line(&self, line: u64) -> u64 {
+        if self.delta == 0 {
+            return line;
+        }
+        let i = self.private.partition_point(|&(_, end)| end <= line);
+        match self.private.get(i) {
+            Some(&(start, _)) if start <= line => line + self.delta,
+            _ => line,
+        }
+    }
+
+    /// Relocates every line of `trace` in place: explicit accesses, their
+    /// byte addresses, and stream chunk line lists (including
+    /// indirection-origin reads), so the result stays self-consistent.
+    pub fn apply(&self, trace: &mut Trace) {
+        for op in &mut trace.ops {
+            for line in &mut op.mem_lines {
+                *line = self.line(*line);
+            }
+            let (line, offset) = (op.mem_addr / LINE_BYTES, op.mem_addr % LINE_BYTES);
+            op.mem_addr = self.line(line) * LINE_BYTES + offset;
+        }
+        for s in &mut trace.streams {
+            for chunk in &mut s.chunks {
+                for line in &mut chunk.lines {
+                    *line = self.line(*line);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn relocation_moves_exactly_the_private_lines() {
+        let r = Relocation::new([5, 3, 4, 9, 9], 0).with_delta(100);
+        let moved: Vec<u64> = (2..=10).map(|l| r.line(l)).collect();
+        assert_eq!(moved, vec![2, 103, 104, 105, 6, 7, 8, 109, 10]);
+        assert_eq!(r.with_delta(0).line(4), 4);
+        assert_eq!(Relocation::identity().line(4), 4);
+    }
 
     #[test]
     fn histogram_counts() {

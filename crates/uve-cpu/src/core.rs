@@ -16,9 +16,9 @@ use crate::config::CpuConfig;
 use crate::events::{ChunkSpan, EventLog, FifoPoint, OpSpan};
 use crate::predictor::Bimodal;
 use crate::stats::{CycleAccount, RenameBlockReason, TimingStats};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use uve_core::engine::{ChunkStatus, EngineSim};
-use uve_core::{Trace, TraceOp};
+use uve_core::{Relocation, Trace, TraceOp};
 use uve_isa::{Dir, ExecClass, RegClass, RegRef};
 use uve_mem::{MemPort, MemSystem, Path, LINE_BYTES};
 
@@ -49,6 +49,18 @@ fn class_idx(c: RegClass) -> usize {
 }
 
 const NOT_DONE: u64 = u64::MAX;
+
+/// Registers per class in the rename table (the largest architectural
+/// register file).
+const REGS_PER_CLASS: usize = 32;
+
+/// "No in-flight writer" in the rename table.
+const NO_WRITER: usize = usize::MAX;
+
+/// The rename-table slot of an architectural register.
+fn reg_slot(r: RegRef) -> usize {
+    class_idx(r.class) * REGS_PER_CLASS + usize::from(r.num)
+}
 
 /// Renders the no-retire watchdog diagnostic: instead of spinning silently
 /// to `max_cycles`, a deadlocked model dumps where commit is stuck and the
@@ -97,10 +109,41 @@ fn watchdog_report(
     out
 }
 
+/// Producers an issue-queue entry inherits at rename. Ops have at most a
+/// few register sources, so they are held inline; any beyond
+/// `INLINE_DEPS` spill to the heap.
+const INLINE_DEPS: usize = 4;
+
 #[derive(Debug)]
 struct IqEntry {
     idx: usize,
-    deps: Vec<usize>,
+    deps: [usize; INLINE_DEPS],
+    ndeps: usize,
+    spill: Vec<usize>,
+}
+
+impl IqEntry {
+    fn new(idx: usize) -> Self {
+        Self {
+            idx,
+            deps: [0; INLINE_DEPS],
+            ndeps: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push_dep(&mut self, d: usize) {
+        if self.ndeps < INLINE_DEPS {
+            self.deps[self.ndeps] = d;
+            self.ndeps += 1;
+        } else {
+            self.spill.push(d);
+        }
+    }
+
+    fn deps(&self) -> impl Iterator<Item = usize> + '_ {
+        self.deps[..self.ndeps].iter().chain(&self.spill).copied()
+    }
 }
 
 /// The out-of-order core model.
@@ -207,12 +250,13 @@ pub struct CorePipeline {
     sq_used: usize,
     free_regs: [usize; 4],
     iq: [Vec<IqEntry>; 3],
-    last_writer: HashMap<RegRef, usize>,
+    /// Youngest renamed writer of each architectural register
+    /// ([`reg_slot`]), or [`NO_WRITER`].
+    last_writer: [usize; 4 * REGS_PER_CLASS],
+    /// Moves this core's private lines (sharded multicore runs).
+    reloc: Relocation,
     stats: TimingStats,
     now: u64,
-    dbg: bool,
-    dbg_rename: Vec<u64>,
-    dbg_issue: Vec<u64>,
     /// Per-load issue outcome for stall attribution, in a ring indexed by
     /// op index modulo the ROB size: at most `rob_entries` ops are in
     /// flight, so slots are never reused before the head retires.
@@ -236,8 +280,6 @@ impl CorePipeline {
         let n = trace.ops.len();
         let engine = EngineSim::new(cfg.engine);
         let predictor = Bimodal::new(cfg.predictor_entries);
-        static DBG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let dbg = *DBG.get_or_init(|| std::env::var("UVE_CPU_TRACE").is_ok());
         let ring = cfg.rob_entries.max(1);
         let free_regs = cfg.free_regs();
         Self {
@@ -257,12 +299,10 @@ impl CorePipeline {
             sq_used: 0,
             free_regs,
             iq: [Vec::new(), Vec::new(), Vec::new()],
-            last_writer: HashMap::new(),
+            last_writer: [NO_WRITER; 4 * REGS_PER_CLASS],
+            reloc: Relocation::identity(),
             stats: TimingStats::empty(),
             now: 0,
-            dbg,
-            dbg_rename: if dbg { vec![0; n] } else { Vec::new() },
-            dbg_issue: if dbg { vec![0; n] } else { Vec::new() },
             ring,
             load_info: vec![(0, 0, false, false); ring],
             track,
@@ -271,6 +311,14 @@ impl CorePipeline {
             fifo_last: [0u32; 32],
             last_commit_cycle: 0,
         }
+    }
+
+    /// Moves every line this pipeline and its Streaming Engine request by
+    /// `reloc` (the sharded multicore mode runs one trace on every core,
+    /// each with its own relocation).
+    pub fn with_relocation(mut self, reloc: Relocation) -> Self {
+        self.reloc = reloc;
+        self
     }
 
     /// The core id this pipeline runs on.
@@ -379,7 +427,12 @@ impl CorePipeline {
             let op = &trace.ops[idx];
             if op.is_store {
                 for &line in &op.mem_lines {
-                    mem.write(line * LINE_BYTES, u64::from(op.pc), now, Path::Normal);
+                    mem.write(
+                        self.reloc.line(line) * LINE_BYTES,
+                        u64::from(op.pc),
+                        now,
+                        Path::Normal,
+                    );
                 }
             }
             for &(inst, chunk) in &op.stream_reads {
@@ -409,7 +462,7 @@ impl CorePipeline {
                     }
                 }
                 self.engine
-                    .commit_write(inst, chunk, now, &trace.streams, mem);
+                    .commit_write(inst, chunk, now, &trace.streams, &self.reloc, mem);
             }
             if let Some(inst) = op.stream_close {
                 self.engine.close(inst);
@@ -423,21 +476,6 @@ impl CorePipeline {
                 _ => {}
             }
             self.rob_used -= 1;
-            if self.dbg
-                && ((3000..3060).contains(&idx)
-                    || (self.dbg_rename[idx] > 0 && now.saturating_sub(self.dbg_rename[idx]) > 200))
-            {
-                eprintln!(
-                    "op{idx} pc={} {:?} rename={} issue={} done={} commit={now} sr={:?} sw={:?}",
-                    op.pc,
-                    op.exec,
-                    self.dbg_rename[idx],
-                    self.dbg_issue[idx],
-                    self.done[idx],
-                    op.stream_reads,
-                    op.stream_writes
-                );
-            }
             if let Some(log) = events.as_deref_mut() {
                 log.ops.push(OpSpan {
                     idx: idx as u32,
@@ -466,6 +504,7 @@ impl CorePipeline {
         #[allow(clippy::needless_range_loop)] // `cl` selects ports too
         for cl in 0..3 {
             let mut i = 0;
+            let mut disturbed = false;
             while i < self.iq[cl].len() {
                 if issued_total >= self.cfg.issue_width {
                     break;
@@ -495,9 +534,8 @@ impl CorePipeline {
                 }
                 // Register dependencies.
                 let deps_ready = entry
-                    .deps
-                    .iter()
-                    .all(|&d| self.done[d] != NOT_DONE && self.done[d] <= now);
+                    .deps()
+                    .all(|d| self.done[d] != NOT_DONE && self.done[d] <= now);
                 // Stream chunk dependencies (input FIFO readiness).
                 let streams_ready = op.stream_reads.iter().all(|&(inst, chunk)| {
                     matches!(self.engine.chunk_status(inst, chunk),
@@ -519,7 +557,7 @@ impl CorePipeline {
                             let mut from_snoop = false;
                             for &line in &op.mem_lines {
                                 let r = mem.read_explained(
-                                    line * LINE_BYTES,
+                                    self.reloc.line(line) * LINE_BYTES,
                                     u64::from(op.pc),
                                     now,
                                     Path::Normal,
@@ -547,9 +585,6 @@ impl CorePipeline {
                 if self.track {
                     self.issue_at[idx] = now;
                 }
-                if self.dbg {
-                    self.dbg_issue[idx] = now;
-                }
                 match cl {
                     CL_INT => int_issued += 1,
                     CL_FPVEC => fpvec_issued += 1,
@@ -563,11 +598,15 @@ impl CorePipeline {
                 }
                 issued_total += 1;
                 self.iq[cl].swap_remove(i);
+                disturbed = true;
                 // Keep age order reasonably intact after swap_remove by
                 // not advancing i (the swapped-in entry gets a chance).
             }
-            // Restore age order for the next cycle.
-            self.iq[cl].sort_unstable_by_key(|e| e.idx);
+            // Restore age order for the next cycle. Rename appends in age
+            // order, so only a `swap_remove` can leave the queue unsorted.
+            if disturbed {
+                self.iq[cl].sort_unstable_by_key(|e| e.idx);
+            }
         }
 
         // ---- rename / dispatch (in order, fetch_width per cycle) ----
@@ -637,22 +676,20 @@ impl CorePipeline {
                 self.engine.open(inst, &trace.streams[inst as usize], now);
             }
             // Dependencies on in-flight producers only.
-            let deps: Vec<usize> = op
-                .srcs
-                .iter()
-                .filter_map(|s| self.last_writer.get(s).copied())
-                .filter(|&d| self.done[d] == NOT_DONE || self.done[d] > now)
-                .collect();
-            for d in &op.dests {
-                self.last_writer.insert(*d, idx);
+            let mut entry = IqEntry::new(idx);
+            for &s in &op.srcs {
+                let d = self.last_writer[reg_slot(s)];
+                if d != NO_WRITER && (self.done[d] == NOT_DONE || self.done[d] > now) {
+                    entry.push_dep(d);
+                }
+            }
+            for &d in &op.dests {
+                self.last_writer[reg_slot(d)] = idx;
             }
             if self.track {
                 self.rename_at[idx] = now;
             }
-            if self.dbg {
-                self.dbg_rename[idx] = now;
-            }
-            self.iq[cluster_of(op.exec)].push(IqEntry { idx, deps });
+            self.iq[cluster_of(op.exec)].push(entry);
             renamed += 1;
         }
 
@@ -690,7 +727,7 @@ impl CorePipeline {
         }
 
         // ---- streaming engine ----
-        self.engine.tick(now, &trace.streams, mem);
+        self.engine.tick(now, &trace.streams, &self.reloc, mem);
 
         // ---- FIFO occupancy timeline (change-compressed) ----
         if let Some(log) = events {
@@ -943,6 +980,40 @@ skip:
         for op in &log.ops {
             assert!(op.rename <= op.issue && op.issue <= op.done && op.done <= op.commit);
         }
+    }
+
+    #[test]
+    fn deps_beyond_the_inline_capacity_still_order_issue() {
+        // A chain of slow producers f1 <- f2 <- ... <- f(n); the consumer
+        // reads all of them, the last (slowest) beyond the inline capacity.
+        let n = INLINE_DEPS as u8 + 2;
+        let f = |num| RegRef {
+            class: RegClass::Fp,
+            num,
+        };
+        let mut t = Trace::new();
+        for k in 1..=n {
+            let mut op = TraceOp::new(u32::from(k), ExecClass::FpDiv);
+            op.dests.push(f(k));
+            if k > 1 {
+                op.srcs.push(f(k - 1));
+            }
+            t.ops.push(op);
+        }
+        let mut consumer = TraceOp::new(u32::from(n) + 1, ExecClass::FpAdd);
+        consumer.srcs = (1..=n).map(f).collect();
+        consumer.dests.push(f(n + 1));
+        t.ops.push(consumer);
+        let (stats, log) = OoOCore::new(CpuConfig::default()).run_traced(&t);
+        assert_eq!(stats.committed, u64::from(n) + 1);
+        let last_producer = log.ops[usize::from(n) - 1];
+        let consumer = log.ops[usize::from(n)];
+        assert!(
+            consumer.issue >= last_producer.done,
+            "consumer issued at {} before its last producer finished at {}",
+            consumer.issue,
+            last_producer.done
+        );
     }
 
     #[test]

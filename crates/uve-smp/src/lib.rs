@@ -9,8 +9,9 @@
 //!   invalidations on writes, `M`/`O` → `S` downgrades with dirty
 //!   cache-to-cache owner forwarding on reads, and per-core snoop
 //!   statistics;
-//! - two execution modes: [`sim::run_lockstep`] (one trace per core,
-//!   data-parallel over [`shard::shard_trace`]d kernels) and
+//! - two execution modes: [`sim::run_sharded`] (one trace on every core,
+//!   data-parallel, each core relocating its private written lines as it
+//!   requests them; [`sim::run_lockstep`] runs one trace per core) and
 //!   [`sim::run_multiprogrammed`] (more programs than cores, preemptive
 //!   round-robin time slicing with pipeline drain);
 //! - the architectural half of preemption lives in
@@ -26,7 +27,7 @@ pub mod sim;
 
 pub use sched::{run_round_robin, Job, JobOutcome, SchedError};
 pub use shard::{relocate_trace, shard_trace, written_lines, SHARD_STRIDE_LINES};
-pub use sim::{run_lockstep, run_multiprogrammed, MpConfig, MpOutcome, MpRun, SmpRun};
+pub use sim::{run_lockstep, run_multiprogrammed, run_sharded, MpConfig, MpOutcome, MpRun, SmpRun};
 
 #[cfg(test)]
 mod tests {

@@ -14,9 +14,14 @@
 //!   forwarding all fire on the previously-dead MOESI hooks;
 //! - **shared reads** (untouched read-only inputs): all cores load the same
 //!   input arrays and hold them `Shared`.
+//!
+//! The relocation is a [`Relocation`] per core, applied to each line as
+//! the core requests it ([`crate::run_sharded`]), so every core replays
+//! the one shared trace; [`shard_trace`] applies the same relocation to a
+//! copy and remains as the reference.
 
 use std::collections::HashSet;
-use uve_core::Trace;
+use uve_core::{Relocation, Trace};
 use uve_isa::Dir;
 use uve_mem::LINE_BYTES;
 
@@ -54,45 +59,32 @@ pub fn written_lines(trace: &Trace) -> Vec<u64> {
     out
 }
 
-/// Relocates `trace`'s written lines for `core`, keeping the first
-/// `shared_written` written lines (and every read-only line) at their
-/// original addresses.
-///
-/// Core 0 always runs the unmodified trace; core `c` adds
-/// `c * SHARD_STRIDE_LINES` to each private written line, everywhere it
-/// appears (explicit accesses, access addresses, and stream chunk line
-/// lists — including indirection-origin reads), so the relocated trace
-/// stays self-consistent.
+/// The relocation of each of `cores` cores sharing `trace`: every written
+/// line except the first `shared_written` (and every read-only line) is
+/// private, and core `c` moves its private lines by
+/// `c * SHARD_STRIDE_LINES`. Core 0 is the identity.
+pub(crate) fn shard_relocations(
+    trace: &Trace,
+    cores: usize,
+    shared_written: usize,
+) -> Vec<Relocation> {
+    let private = Relocation::new(written_lines(trace).into_iter().skip(shared_written), 0);
+    (0..cores)
+        .map(|c| private.with_delta(c as u64 * SHARD_STRIDE_LINES))
+        .collect()
+}
+
+/// A copy of `trace` relocated for `core`: every written line except the
+/// first `shared_written` is private, and core `c` moves each private line
+/// by `c * SHARD_STRIDE_LINES` everywhere it appears (explicit accesses,
+/// access addresses, and stream chunk line lists — including
+/// indirection-origin reads), so the copy stays self-consistent. Core 0
+/// runs the unmodified trace. The reference for [`crate::run_sharded`],
+/// which applies the same relocation without copying.
 pub fn shard_trace(trace: &Trace, core: usize, shared_written: usize) -> Trace {
     let mut out = trace.clone();
-    if core == 0 {
-        return out;
-    }
-    let private: HashSet<u64> = written_lines(trace)
-        .into_iter()
-        .skip(shared_written)
-        .collect();
-    let delta = core as u64 * SHARD_STRIDE_LINES;
-    let remap = |line: u64| {
-        if private.contains(&line) {
-            line + delta
-        } else {
-            line
-        }
-    };
-    for op in &mut out.ops {
-        for line in &mut op.mem_lines {
-            *line = remap(*line);
-        }
-        let (line, offset) = (op.mem_addr / LINE_BYTES, op.mem_addr % LINE_BYTES);
-        op.mem_addr = remap(line) * LINE_BYTES + offset;
-    }
-    for s in &mut out.streams {
-        for chunk in &mut s.chunks {
-            for line in &mut chunk.lines {
-                *line = remap(*line);
-            }
-        }
+    if core > 0 {
+        shard_relocations(trace, core + 1, shared_written)[core].apply(&mut out);
     }
     out
 }

@@ -6,8 +6,9 @@
 //! audited with a full single-writer cross-product scan every `check_every`
 //! global cycles.
 
+use crate::shard::shard_relocations;
 use std::collections::VecDeque;
-use uve_core::Trace;
+use uve_core::{Relocation, Trace};
 use uve_cpu::{CorePipeline, CpuConfig, TimingStats};
 use uve_mem::{
     CoherenceViolation, FaultStats, MemPort, MemStats, Path, ReadOutcome, SmpMem, SmpPort,
@@ -78,7 +79,7 @@ impl MemPort for ShiftedPort<'_> {
 }
 
 /// Result of one multicore timing run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct SmpRun {
     /// Per-core timing statistics (cycle accounting obeys the single-core
     /// conservation laws on every core).
@@ -109,16 +110,51 @@ pub fn run_lockstep(
     traces: &[Trace],
     check_every: u64,
 ) -> Result<SmpRun, CoherenceViolation> {
-    let ncores = traces.len().max(1);
+    let cores: Vec<(&Trace, Relocation)> =
+        traces.iter().map(|t| (t, Relocation::identity())).collect();
+    lockstep(cpu, &cores, check_every)
+}
+
+/// Runs `trace` on each of `cores` cores in lockstep, data-parallel: every
+/// written line except the first `shared_written` is private to each core.
+/// The cores share the one trace and relocate each line as they request
+/// it, so this is cycle-identical to [`run_lockstep`] over
+/// [`crate::shard_trace`] copies, without the copies.
+///
+/// # Errors
+///
+/// As [`run_lockstep`].
+pub fn run_sharded(
+    cpu: &CpuConfig,
+    trace: &Trace,
+    cores: usize,
+    shared_written: usize,
+    check_every: u64,
+) -> Result<SmpRun, CoherenceViolation> {
+    let cores: Vec<(&Trace, Relocation)> = shard_relocations(trace, cores, shared_written)
+        .into_iter()
+        .map(|r| (trace, r))
+        .collect();
+    lockstep(cpu, &cores, check_every)
+}
+
+/// The lockstep loop: core `c` replays `cores[c].0` under relocation
+/// `cores[c].1`.
+fn lockstep(
+    cpu: &CpuConfig,
+    cores: &[(&Trace, Relocation)],
+    check_every: u64,
+) -> Result<SmpRun, CoherenceViolation> {
+    let ncores = cores.len().max(1);
     let mut mem = SmpMem::new(cpu.mem.clone(), ncores);
-    let mut pipes: Vec<Option<CorePipeline>> = traces
+    let mut pipes: Vec<Option<CorePipeline>> = cores
         .iter()
         .enumerate()
-        .map(|(c, t)| {
+        .map(|(c, (t, reloc))| {
             if t.ops.is_empty() {
                 None
             } else {
-                Some(CorePipeline::new(cpu.clone(), t, c, false))
+                Some(CorePipeline::new(cpu.clone(), t, c, false).with_relocation(reloc.clone()))
             }
         })
         .collect();
@@ -130,7 +166,7 @@ pub fn run_lockstep(
             if let Some(pipe) = slot {
                 if !pipe.finished() {
                     let mut port = mem.port(core);
-                    pipe.step(&traces[core], &mut port, None);
+                    pipe.step(cores[core].0, &mut port, None);
                     live = true;
                 }
             }

@@ -54,6 +54,6 @@ pub use coordinator::{Coordinator, CoordinatorOptions};
 pub use messages::{read_msg, write_msg, Msg, WireError, PROTOCOL_VERSION};
 pub use spec::{
     catalog, job_key, render_rows, resolve, rows_digest, run_point, run_serial, run_serial_on,
-    Assembly, PointRow, PointSpec, SweepSpec, SweepStats,
+    Assembly, PointRow, PointSpec, SweepSpec, SweepStats, MODEL_EPOCH,
 };
 pub use worker::{run_worker, WorkerOptions};

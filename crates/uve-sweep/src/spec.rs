@@ -29,7 +29,7 @@ use uve_core::{ExecMode, IndirectPacking};
 use uve_cpu::CpuConfig;
 use uve_isa::MemLevel;
 use uve_kernels::{Benchmark, Flavor};
-use uve_smp::{run_lockstep, shard_trace};
+use uve_smp::run_sharded;
 
 /// Hard cap on the number of grid points in one sweep request.
 pub const MAX_GRID_POINTS: usize = 65_536;
@@ -587,6 +587,16 @@ pub fn resolve(name: &str, small: bool) -> Result<Box<dyn Benchmark>, String> {
 
 // --- content addressing ------------------------------------------------
 
+/// Version of the simulated model, folded into every [`job_key`].
+///
+/// A durable cache row is only valid for the model that produced it. Bump
+/// this whenever a change alters any simulated output (timing statistics,
+/// traces, emulator semantics), so rows from the old model miss instead of
+/// being served under still-valid keys. `tests/fingerprint_golden.rs` pins
+/// a canary grid's [`rows_digest`] next to this value: a model change
+/// without a bump fails there.
+pub const MODEL_EPOCH: u64 = 1;
+
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
@@ -609,7 +619,8 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 /// The content address of one grid point: everything its result depends
 /// on. Composes the encoded [`PointSpec`] (functional knobs, timing
 /// knobs, exec mode, fault seed, core count) with the resolved kernel's
-/// program fingerprint from [`TraceKey`], so renaming-but-reparametrising
+/// program fingerprint from [`TraceKey`] and the [`MODEL_EPOCH`], so
+/// rows of an older model never hit, and renaming-but-reparametrising
 /// a kernel can never alias a stale cache entry. Every ingredient is
 /// build-stable (the fingerprint is canonical FNV-1a, see
 /// `uve_core::program_fingerprint`), so a key minted by one binary hits a
@@ -634,6 +645,7 @@ pub fn job_key(point: &PointSpec) -> Result<u64, String> {
     let mut h = fnv1a_bytes(&w.into_bytes());
     h = fnv1a(h, &tk.program.to_le_bytes());
     h = fnv1a(h, &(tk.vlen as u64).to_le_bytes());
+    h = fnv1a(h, &MODEL_EPOCH.to_le_bytes());
     Ok(h)
 }
 
@@ -672,10 +684,14 @@ pub fn run_point(runner: &Runner, point: &PointSpec) -> Result<PointRow, String>
             digest: fnv1a_bytes(format!("{:?}", m.stats).as_bytes()),
         });
     }
-    let traces: Vec<_> = (0..point.cores as usize)
-        .map(|c| shard_trace(&cached.trace, c, SHARED_PREFIX_LINES))
-        .collect();
-    let run = run_lockstep(&cpu, &traces, 0).map_err(|v| {
+    let run = run_sharded(
+        &cpu,
+        &cached.trace,
+        point.cores as usize,
+        SHARED_PREFIX_LINES,
+        0,
+    )
+    .map_err(|v| {
         format!(
             "{}/{}: coherence violation: {v:?}",
             point.kernel, point.flavor

@@ -14,7 +14,7 @@
 
 use uve_core::program_fingerprint;
 use uve_kernels::Flavor;
-use uve_sweep::{job_key, resolve, SweepSpec};
+use uve_sweep::{job_key, resolve, rows_digest, run_serial, SweepSpec, MODEL_EPOCH};
 
 fn fp(kernel: &str, flavor: Flavor) -> u64 {
     let bench = resolve(kernel, true).expect("catalog kernel");
@@ -47,11 +47,38 @@ fn job_keys_are_pinned() {
     // so pinning a couple of keys pins the whole cache-addressing chain.
     let spec = SweepSpec::small_default();
     let points = spec.points().expect("plan small grid");
-    let golden: &[(usize, u64)] = &[(0, 0xd23f86964f65f1ae), (1, 0xb1639073ad972e4d)];
+    let golden: &[(usize, u64)] = &[(0, 0x11c548182c61bd8f), (1, 0xa5cd9bb644d2efcc)];
     for &(i, want) in golden {
         let got = job_key(&points[i]).expect("job key");
         assert_eq!(got, want, "job_key(points[{i}] = {:?}) drifted", points[i]);
     }
+}
+
+#[test]
+fn model_epoch_pins_canary_rows() {
+    // The durable cache trusts a row for as long as its job key is valid,
+    // and the key carries the model epoch, not the model's output. This
+    // canary ties the two together: any change to a simulated output of
+    // the grid (single-core replay and sharded 2-core lockstep, UVE and
+    // scalar) changes the digest, and must come with a `MODEL_EPOCH` bump
+    // and a re-pin of both values here.
+    let spec = SweepSpec {
+        small: true,
+        kernels: ["memcpy", "saxpy", "gemm"].map(String::from).to_vec(),
+        flavors: vec![Flavor::Uve, Flavor::Scalar],
+        cores: vec![1, 2],
+        ..SweepSpec::default()
+    };
+    let (rows, _) = run_serial(&spec).expect("canary grid runs");
+    assert_eq!(rows.len(), 12);
+    let got = (MODEL_EPOCH, rows_digest(&rows));
+    assert_eq!(
+        got,
+        (1, 0x1e4329a398f411ed),
+        "canary rows digest {:#018x} at epoch {}: model output changed without a MODEL_EPOCH bump",
+        got.1,
+        got.0
+    );
 }
 
 #[test]
