@@ -126,7 +126,7 @@ SWEEP_ADDR=$(awk '/^LISTEN /{print $2; exit}' target/sweep_listen.txt)
 SWEEP_PIDS+=($!)
 ./target/release/uve-sweep worker --connect "$SWEEP_ADDR" --name ci-w1 &
 SWEEP_PIDS+=($!)
-SWEEP_GRID=(--small --kernels memcpy,saxpy,gemm --flavors uve,scalar)
+SWEEP_GRID=(--small --kernels memcpy,saxpy,gemm --flavors uve,scalar --cores 1,2)
 ./target/release/uve-sweep serial "${SWEEP_GRID[@]}" > target/sweep_serial.txt
 ./target/release/uve-sweep run --connect "$SWEEP_ADDR" --quiet \
     "${SWEEP_GRID[@]}" > target/sweep_dist.txt

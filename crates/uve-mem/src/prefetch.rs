@@ -3,6 +3,14 @@
 //! configuration of Table I.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+use crate::memory::PageHasher;
+
+/// A map keyed by small integers (PCs, zone numbers) under the
+/// deterministic [`PageHasher`]: cheaper than SipHash, and its iteration
+/// order is the same in every process.
+type IntMap<V> = HashMap<u64, V, BuildHasherDefault<PageHasher>>;
 
 /// A prefetch suggestion: a line address to bring into the cache.
 pub type PrefetchRequest = u64;
@@ -15,7 +23,7 @@ pub type PrefetchRequest = u64;
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     depth: usize,
-    table: HashMap<u64, StrideEntry>,
+    table: IntMap<StrideEntry>,
     capacity: usize,
     issued: u64,
 }
@@ -34,7 +42,7 @@ impl StridePrefetcher {
     pub fn new(depth: usize, capacity: usize) -> Self {
         Self {
             depth,
-            table: HashMap::new(),
+            table: IntMap::default(),
             capacity,
             issued: 0,
         }
@@ -87,7 +95,8 @@ impl StridePrefetcher {
             None => {
                 if self.table.len() >= self.capacity {
                     // Cheap pseudo-random replacement: drop an arbitrary
-                    // entry (HashMap iteration order).
+                    // entry (the first in iteration order, which the
+                    // deterministic hasher makes the same in every run).
                     if let Some(&k) = self.table.keys().next() {
                         self.table.remove(&k);
                     }
@@ -119,11 +128,11 @@ impl StridePrefetcher {
 #[derive(Debug, Clone)]
 pub struct AmpmPrefetcher {
     zone_lines: usize,
-    zones: HashMap<u64, u64>,
+    zones: IntMap<u64>,
     /// Lines already requested by the prefetcher (the real AMPM's
     /// per-line *prefetch* state): excluded as candidates so the prefetch
     /// distance ramps forward instead of re-targeting the same offsets.
-    pf_zones: HashMap<u64, u64>,
+    pf_zones: IntMap<u64>,
     zone_queue: Vec<u64>,
     max_zones: usize,
     degree: usize,
@@ -137,8 +146,8 @@ impl AmpmPrefetcher {
     pub fn new(max_zones: usize, degree: usize) -> Self {
         Self {
             zone_lines: (4096 / crate::cache::LINE_BYTES) as usize,
-            zones: HashMap::new(),
-            pf_zones: HashMap::new(),
+            zones: IntMap::default(),
+            pf_zones: IntMap::default(),
             zone_queue: Vec::new(),
             max_zones,
             degree,
@@ -157,24 +166,6 @@ impl AmpmPrefetcher {
         (zone, bit)
     }
 
-    fn is_set(&self, line: i64) -> bool {
-        if line < 0 {
-            return false;
-        }
-        let (zone, bit) = self.bit(line as u64);
-        self.zones.get(&zone).is_some_and(|m| m & (1 << bit) != 0)
-    }
-
-    fn is_prefetched(&self, line: i64) -> bool {
-        if line < 0 {
-            return false;
-        }
-        let (zone, bit) = self.bit(line as u64);
-        self.pf_zones
-            .get(&zone)
-            .is_some_and(|m| m & (1 << bit) != 0)
-    }
-
     fn mark_prefetched(&mut self, line: u64) {
         let (zone, bit) = self.bit(line);
         *self.pf_zones.entry(zone).or_insert(0) |= 1 << bit;
@@ -183,7 +174,18 @@ impl AmpmPrefetcher {
     /// Observes a demand access to `line` (line address) and returns lines
     /// to prefetch.
     pub fn observe(&mut self, line: u64) -> Vec<PrefetchRequest> {
-        // Record the access.
+        self.record(line);
+        let out = self.pattern_match(line);
+        for &line in &out {
+            self.mark_prefetched(line);
+        }
+        self.issued += out.len() as u64;
+        out
+    }
+
+    /// Sets `line`'s bit in the access map, evicting the oldest zone when
+    /// a new one would exceed `max_zones`.
+    fn record(&mut self, line: u64) {
         let (zone, bit) = self.bit(line);
         if self.zones.len() >= self.max_zones && !self.zones.contains_key(&zone) {
             let victim = self.zone_queue.remove(0);
@@ -195,38 +197,90 @@ impl AmpmPrefetcher {
             0
         });
         *entry |= 1 << bit;
+    }
 
-        // Pattern match: for each candidate spacing d, require line-d and
-        // line-2d set, then prefetch line+d.
+    /// The AMPM pattern match: for each candidate spacing `d`, require
+    /// `line-d` and `line-2d` accessed, then prefetch `line+d` (and the
+    /// mirror image backwards). Every line it tests lies within one zone of
+    /// `line`, so it reads the previous, current and next zone of both maps
+    /// once and tests bits from there.
+    fn pattern_match(&self, line: u64) -> Vec<PrefetchRequest> {
+        let (zone, bit) = self.bit(line);
+        let zone_lines = self.zone_lines as i64;
+        // Zone -1 does not exist: its lines, all negative, are never set.
+        let window = |map: &IntMap<u64>| {
+            let word = |z: Option<u64>| z.and_then(|z| map.get(&z)).copied().unwrap_or(0);
+            [
+                word(zone.checked_sub(1)),
+                word(Some(zone)),
+                word(Some(zone + 1)),
+            ]
+        };
+        let (seen, pf) = (window(&self.zones), window(&self.pf_zones));
+        // Whether the line `delta` lines from `line` (|delta| <= one zone)
+        // is set in `words`.
+        let test = |words: &[u64; 3], delta: i64| {
+            let i = zone_lines + i64::from(bit) + delta;
+            words[(i / zone_lines) as usize] >> (i % zone_lines) & 1 != 0
+        };
+        let mut out = Vec::new();
+        let l = line as i64;
+        for d in 1..=zone_lines / 2 {
+            if out.len() >= self.degree {
+                break;
+            }
+            if test(&seen, -d) && test(&seen, -2 * d) && !test(&seen, d) && !test(&pf, d) {
+                out.push((l + d) as u64);
+            }
+            if out.len() >= self.degree {
+                break;
+            }
+            if test(&seen, d)
+                && test(&seen, 2 * d)
+                && !test(&seen, -d)
+                && !test(&pf, -d)
+                && l - d >= 0
+            {
+                out.push((l - d) as u64);
+            }
+        }
+        out
+    }
+
+    /// The pattern match probing both maps line by line: the reference
+    /// [`AmpmPrefetcher::pattern_match`] is tested against.
+    #[cfg(test)]
+    fn pattern_match_by_probe(&self, line: u64) -> Vec<PrefetchRequest> {
+        let probe = |map: &IntMap<u64>, line: i64| {
+            if line < 0 {
+                return false;
+            }
+            let (zone, bit) = self.bit(line as u64);
+            map.get(&zone).is_some_and(|m| m & (1 << bit) != 0)
+        };
+        let is_set = |line| probe(&self.zones, line);
+        let is_prefetched = |line| probe(&self.pf_zones, line);
         let mut out = Vec::new();
         let l = line as i64;
         for d in 1..=self.zone_lines as i64 / 2 {
             if out.len() >= self.degree {
                 break;
             }
-            if self.is_set(l - d)
-                && self.is_set(l - 2 * d)
-                && !self.is_set(l + d)
-                && !self.is_prefetched(l + d)
-            {
+            if is_set(l - d) && is_set(l - 2 * d) && !is_set(l + d) && !is_prefetched(l + d) {
                 out.push((l + d) as u64);
             }
             if out.len() >= self.degree {
                 break;
             }
-            if self.is_set(l + d)
-                && self.is_set(l + 2 * d)
-                && !self.is_set(l - d)
-                && !self.is_prefetched(l - d)
+            if is_set(l + d)
+                && is_set(l + 2 * d)
+                && !is_set(l - d)
+                && !is_prefetched(l - d)
                 && l - d >= 0
             {
                 out.push((l - d) as u64);
             }
         }
-        for &line in &out {
-            self.mark_prefetched(line);
-        }
-        self.issued += out.len() as u64;
         out
     }
 }
@@ -315,5 +369,59 @@ mod tests {
             p.observe(l);
         }
         assert!(p.observe(6).len() <= 1);
+    }
+
+    /// xorshift64: a fixed, dependency-free random stream.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn ampm_window_match_equals_probe_by_probe_match() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200 {
+            // Few zones near line 0 (so patterns repeat, cross zone edges
+            // and reach below line 0), few tracked zones (so they evict).
+            let max_zones = 1 + (next(&mut rng) % 4) as usize;
+            let degree = 1 + (next(&mut rng) % 8) as usize;
+            let mut p = AmpmPrefetcher::new(max_zones, degree);
+            let mut line = next(&mut rng) % 320;
+            for _ in 0..300 {
+                let r = next(&mut rng);
+                line = match r % 4 {
+                    0 => r / 4 % 320,
+                    1 => line.saturating_sub(1 + r / 4 % 8),
+                    _ => line + 1 + r / 4 % 8,
+                } % 320;
+                let mut reference = p.clone();
+                reference.record(line);
+                let want = reference.pattern_match_by_probe(line);
+                assert_eq!(p.observe(line), want, "line {line}");
+            }
+        }
+    }
+
+    #[test]
+    fn stride_eviction_is_the_same_in_every_prefetcher() {
+        // 80 PCs cycling through a 64-entry table: each miss evicts, and
+        // which PCs survive to confirm their stride decides what issues.
+        let run = || {
+            let mut p = StridePrefetcher::new(16, 64);
+            let mut rng = 12345u64;
+            let mut issued = Vec::new();
+            for round in 0..20u64 {
+                for pc in 0..80u64 {
+                    let jitter = next(&mut rng) % 3;
+                    issued.push(p.observe(pc, (pc << 20) + (round + jitter) * 64));
+                }
+            }
+            issued
+        };
+        let first = run();
+        assert!(first.iter().any(|r| !r.is_empty()), "some PC confirmed");
+        assert_eq!(first, run());
     }
 }

@@ -22,6 +22,14 @@
 //! `emulations` counter carried in
 //! [`SweepStats`](spec::SweepStats).
 //!
+//! Each worker keeps one functional trace resident (`PointRunner`):
+//! canonical order puts a functional point's timing variants back to
+//! back, so they share one emulation, and the next functional point
+//! drops the trace before emulating its own. Worker memory stays at one
+//! trace however long the service runs; a later sweep that asks for new
+//! timing points of an already-finished functional point emulates it
+//! again.
+//!
 //! The service is additionally **crash-safe** (PR 9): the cache can run
 //! durably over a checksummed write-ahead log with checkpoint snapshots
 //! ([`wal`], [`cache`]) so a `kill -9`'d coordinator restarted from the
@@ -53,7 +61,7 @@ pub use client::{
 pub use coordinator::{Coordinator, CoordinatorOptions};
 pub use messages::{read_msg, write_msg, Msg, WireError, PROTOCOL_VERSION};
 pub use spec::{
-    catalog, job_key, render_rows, resolve, rows_digest, run_point, run_serial, run_serial_on,
-    Assembly, PointRow, PointSpec, SweepSpec, SweepStats, MODEL_EPOCH,
+    catalog, job_key, render_rows, resolve, rows_digest, run_point, run_serial, Assembly, PointRow,
+    PointSpec, SweepSpec, SweepStats, MODEL_EPOCH,
 };
 pub use worker::{run_worker, WorkerOptions};

@@ -311,8 +311,9 @@ pub enum Msg {
         job: u64,
         /// The measured row.
         row: PointRow,
-        /// Fresh functional emulations this job cost the worker (0 when
-        /// its local trace cache was warm).
+        /// Fresh functional emulations this job cost the worker: 0 when
+        /// the worker's one resident trace was already the job's own,
+        /// else 1.
         emulations: u32,
     },
     /// Worker → coordinator: job panicked or timed out on this worker.

@@ -5,9 +5,9 @@
 //! enumerates it in **canonical order** (the order the axes are nested in
 //! the struct), and every transport in the service preserves that order:
 //! the coordinator merges completed jobs back into canonical slots, so
-//! the merged output of a sweep is bit-identical to
-//! [`run_serial`] — a serial in-process [`Runner`] loop — regardless of
-//! worker count, request interleaving, cache hits, or worker crashes.
+//! the merged output of a sweep is bit-identical to [`run_serial`] — a
+//! serial in-process loop over [`run_point`] — regardless of worker
+//! count, request interleaving, cache hits, or worker crashes.
 //!
 //! [`job_key`] is the content address of one grid point: an FNV-1a digest
 //! over the encoded [`PointSpec`] plus the program fingerprint of the
@@ -653,9 +653,9 @@ pub fn job_key(point: &PointSpec) -> Result<u64, String> {
 
 /// Evaluates one grid point on `runner` (whose trace cache makes repeated
 /// points over the same functional trace cheap). This is the **only**
-/// executor in the service: workers call it, and [`run_serial`] — the
-/// determinism baseline — calls it with a serial [`Runner`], so the two
-/// can only ever differ if scheduling leaked into the model (which the
+/// executor in the service: workers and [`run_serial`] — the determinism
+/// baseline — both call it through a `PointRunner`, so the two can only
+/// ever differ if scheduling leaked into the model (which the
 /// integration tests exist to rule out).
 ///
 /// # Errors
@@ -723,36 +723,76 @@ pub fn run_point(runner: &Runner, point: &PointSpec) -> Result<PointRow, String>
     })
 }
 
+/// Runs grid points through [`run_point`] with at most one functional
+/// trace resident.
+///
+/// Canonical order nests the timing axes (cores, PRF, FIFO depth)
+/// innermost, so a grid's points over one trace arrive back to back. The
+/// runner keeps a [`Runner`] for the current functional point only; the
+/// first point of a new one replaces it, dropping the old trace before
+/// the next emulation. A long-lived worker therefore holds one trace, not
+/// every trace it has ever replayed. The price: points that return to a
+/// functional point after another one ran in between emulate it again,
+/// which [`PointRunner::emulations`] counts.
+#[derive(Default)]
+pub(crate) struct PointRunner {
+    /// The current functional point (its timing fields cleared) and the
+    /// runner holding its trace.
+    current: Option<(PointSpec, Runner)>,
+    /// Emulations of the runners already replaced.
+    retired: u64,
+}
+
+impl PointRunner {
+    /// Evaluates `point`, first replacing the resident trace if `point`
+    /// needs a different one.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_point`].
+    pub(crate) fn run(&mut self, point: &PointSpec) -> Result<PointRow, String> {
+        let key = PointSpec {
+            cores: 0,
+            vec_prf: 0,
+            fifo_depth: 0,
+            ..point.clone()
+        };
+        if self.current.as_ref().map(|(k, _)| k) != Some(&key) {
+            if let Some((_, old)) = self.current.take() {
+                self.retired += old.emulations();
+            }
+            self.current = Some((key, Runner::serial().verbose(false)));
+        }
+        let (_, runner) = self.current.as_ref().expect("runner installed above");
+        run_point(runner, point)
+    }
+
+    /// Functional emulations performed so far.
+    pub(crate) fn emulations(&self) -> u64 {
+        self.retired + self.current.as_ref().map_or(0, |(_, r)| r.emulations())
+    }
+}
+
 /// The determinism baseline: runs the whole grid serially, in canonical
-/// order, on one in-process serial [`Runner`]. Any sweep's merged output
-/// must be bit-identical to this, whatever the worker count, request
+/// order, on one `PointRunner`. Any sweep's merged output must be
+/// bit-identical to this, whatever the worker count, request
 /// interleaving, cache temperature, or crash history.
 ///
 /// Returns the rows plus the number of fresh functional emulations the
-/// serial runner performed.
+/// serial runner performed: one per functional point, because canonical
+/// order keeps each point's jobs together.
 ///
 /// # Errors
 ///
 /// Propagates validation and execution failures.
 pub fn run_serial(spec: &SweepSpec) -> Result<(Vec<PointRow>, u64), String> {
-    run_serial_on(&Runner::serial().verbose(false), spec)
-}
-
-/// [`run_serial`] on a caller-provided runner (lets tests share one trace
-/// cache across baselines, and the worker share its runner with ad-hoc
-/// local sweeps).
-///
-/// # Errors
-///
-/// Propagates validation and execution failures.
-pub fn run_serial_on(runner: &Runner, spec: &SweepSpec) -> Result<(Vec<PointRow>, u64), String> {
-    let before = runner.emulations();
+    let mut runner = PointRunner::default();
     let rows = spec
         .points()?
         .iter()
-        .map(|p| run_point(runner, p))
+        .map(|p| runner.run(p))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok((rows, runner.emulations() - before))
+    Ok((rows, runner.emulations()))
 }
 
 /// Renders rows as the deterministic table the `uve-sweep` binary prints
@@ -1025,5 +1065,61 @@ mod tests {
         let b = run_point(&runner, &point).unwrap();
         assert_eq!(a, b);
         assert!(a.cycles > 0);
+    }
+
+    #[test]
+    fn point_runner_keeps_one_trace_resident() {
+        let memcpy = PointSpec {
+            small: true,
+            kernel: "memcpy".to_string(),
+            flavor: Flavor::Uve,
+            level: MemLevel::L2,
+            packing: IndirectPacking::Packed,
+            exec: ExecMode::Interpret,
+            fault_seed: 0,
+            cores: 1,
+            vec_prf: 0,
+            fifo_depth: 0,
+        };
+        let mut runner = PointRunner::default();
+        runner.run(&memcpy).unwrap();
+        assert_eq!(runner.emulations(), 1);
+        let resident = {
+            let (_, r) = runner.current.as_ref().unwrap();
+            let bench = resolve("memcpy", true).unwrap();
+            let trace = r.trace_full(
+                bench.as_ref(),
+                memcpy.flavor,
+                memcpy.level,
+                memcpy.packing,
+                memcpy.exec,
+                memcpy.fault_seed,
+            );
+            std::sync::Arc::downgrade(&trace)
+        };
+        assert_eq!(runner.emulations(), 1, "the lookup above was a hit");
+
+        // Other timing points of the same functional point reuse it.
+        for (cores, fifo_depth) in [(2, 0), (1, 4)] {
+            runner
+                .run(&PointSpec {
+                    cores,
+                    fifo_depth,
+                    ..memcpy.clone()
+                })
+                .unwrap();
+        }
+        assert_eq!(runner.emulations(), 1, "timing points never emulate");
+        assert!(resident.upgrade().is_some());
+
+        // A new functional point drops the old trace and emulates once.
+        runner
+            .run(&PointSpec {
+                kernel: "saxpy".to_string(),
+                ..memcpy.clone()
+            })
+            .unwrap();
+        assert!(resident.upgrade().is_none(), "old trace dropped");
+        assert_eq!(runner.emulations(), 2);
     }
 }

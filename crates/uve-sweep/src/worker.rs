@@ -6,8 +6,13 @@
 //! around the executor plus a cooperative wall-clock deadline
 //! ([`uve_core::deadline`]), so a poisoned grid point or a wedged model
 //! becomes a reported failure, never a hung or dead worker. The worker
-//! keeps its own [`Runner`] so repeated points over one functional trace
-//! reuse it, and reports the *fresh* emulation count of every job so the
+//! runs jobs on a `PointRunner`, which keeps one functional trace
+//! resident: consecutive jobs over the same functional point (canonical
+//! order puts them back to back) replay it, and the first job of another
+//! point drops it before emulating its own. A long-running worker's
+//! memory is therefore bounded by one trace, at the price of emulating a
+//! point again if a later sweep asks for new timing points of it. The
+//! worker reports the *fresh* emulation count of every job so the
 //! coordinator can account service-wide emulation work (the "second
 //! identical sweep re-emulates nothing" observable).
 //!
@@ -23,8 +28,8 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use crate::messages::{read_msg, write_msg, Msg, PROTOCOL_VERSION};
-use crate::spec::{run_point, PointRow, PointSpec, DEFAULT_WORKER_JOB_TIMEOUT};
-use uve_bench::{panic_message, Runner};
+use crate::spec::{PointRow, PointRunner, PointSpec, DEFAULT_WORKER_JOB_TIMEOUT};
+use uve_bench::panic_message;
 use uve_core::{deadline, ExecMode};
 
 /// Configuration for one worker process (or in-process worker thread).
@@ -75,7 +80,7 @@ impl Default for WorkerOptions {
 /// job's own point (undoing any [`WorkerOptions::exec_override`] applied
 /// to the emulation).
 fn run_isolated_point(
-    runner: &Runner,
+    runner: &mut PointRunner,
     point: &PointSpec,
     opts: &WorkerOptions,
 ) -> Result<PointRow, String> {
@@ -92,7 +97,7 @@ fn run_isolated_point(
                 point.kernel
             );
         }
-        let row = run_point(runner, &exec_point);
+        let row = runner.run(&exec_point);
         deadline::disarm();
         row
     }));
@@ -114,7 +119,7 @@ fn run_isolated_point(
 /// worker's exit message); the inner `Result` is the job's own outcome.
 fn run_with_heartbeats(
     stream: &mut TcpStream,
-    runner: &Runner,
+    runner: &mut PointRunner,
     job: u64,
     point: &PointSpec,
     opts: &WorkerOptions,
@@ -160,7 +165,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
         },
     )
     .map_err(|e| format!("hello: {e}"))?;
-    let runner = Runner::serial().verbose(false);
+    let mut runner = PointRunner::default();
     let mut jobs_seen = 0u64;
     loop {
         let msg = match read_msg(&mut stream) {
@@ -180,7 +185,8 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
                     return Ok(());
                 }
                 let before = runner.emulations();
-                let reply = match run_with_heartbeats(&mut stream, &runner, job, &point, opts)? {
+                let reply = match run_with_heartbeats(&mut stream, &mut runner, job, &point, opts)?
+                {
                     Ok(row) => Msg::JobOk {
                         job,
                         row,
@@ -229,25 +235,25 @@ mod tests {
 
     #[test]
     fn poisoned_job_is_caught_not_fatal() {
-        let runner = Runner::serial().verbose(false);
+        let mut runner = PointRunner::default();
         let opts = WorkerOptions {
             panic_on: Some("saxpy".to_string()),
             ..WorkerOptions::default()
         };
-        let err = run_isolated_point(&runner, &point("SAXPY"), &opts).unwrap_err();
+        let err = run_isolated_point(&mut runner, &point("SAXPY"), &opts).unwrap_err();
         assert!(err.contains("poisoned job"), "{err}");
         // Other kernels are unaffected, and the worker runner survives.
-        let ok = run_isolated_point(&runner, &point("memcpy"), &opts).unwrap();
+        let ok = run_isolated_point(&mut runner, &point("memcpy"), &opts).unwrap();
         assert!(ok.cycles > 0);
     }
 
     #[test]
     fn exec_override_changes_nothing_visible() {
-        let runner = Runner::serial().verbose(false);
+        let mut runner = PointRunner::default();
         let p = SweepSpec::small_default().points().unwrap().remove(0);
-        let plain = run_isolated_point(&runner, &p, &WorkerOptions::default()).unwrap();
+        let plain = run_isolated_point(&mut runner, &p, &WorkerOptions::default()).unwrap();
         let translated = run_isolated_point(
-            &runner,
+            &mut runner,
             &p,
             &WorkerOptions {
                 exec_override: Some(ExecMode::Translated),

@@ -297,6 +297,38 @@ fn multicore_and_faulted_points_sweep_bit_identically() {
 }
 
 #[test]
+fn worker_reuses_and_replaces_its_one_resident_trace() {
+    let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorOptions::default()).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let workers = spawn_workers(&addr, 1);
+
+    // 6 functional points x 2 core counts = 12 jobs, dispatched to the
+    // one worker in canonical order: each point's cores=1 and cores=2 jobs
+    // are back to back, so the second replays the resident trace and the
+    // next point replaces it.
+    let spec = SweepSpec {
+        cores: vec![1, 2],
+        ..small_grid(&["memcpy", "saxpy", "gemm"])
+    };
+    let out = sweep(&addr, &spec);
+    let (serial, serial_emulations) = run_serial(&spec).unwrap();
+    assert_eq!(out.rows, serial, "rows bit-identical to serial");
+    assert_eq!(out.rows.len(), 12);
+    assert_eq!(out.stats.executed, 12);
+    assert_eq!(
+        coordinator.emulations(),
+        6,
+        "one emulation per functional point"
+    );
+    assert_eq!(serial_emulations, 6);
+
+    coordinator.shutdown();
+    for w in workers {
+        w.join().unwrap();
+    }
+}
+
+#[test]
 fn sweep_of_unknown_kernel_is_a_clean_error() {
     let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorOptions::default()).unwrap();
     let addr = coordinator.local_addr().to_string();
