@@ -91,21 +91,13 @@ echo "== assembler + DSP/sparse families: asm smoke, family conformance, drift g
 ./target/release/dsp --quiet --json BENCH_dsp.json > /dev/null
 git diff --exit-code -- BENCH_dsp.json
 
-echo "== translated execution: throughput gate + interpreter-differential smoke =="
-# Emulated-instruction throughput over the 19-kernel suite × 4 flavors in
-# both execution modes. In-binary asserts: every point bit-identical across
-# modes, serial == --jobs, and the dispatch-bound scalar flavor >= 5x. The
-# JSON artifact's deterministic suite section (point count, committed
-# instructions, state digest) is drift-gated like BENCH_fig8.json; the
-# Minst/s numbers are machine-local reference only and do not churn the
-# file.
+echo "== functional emulation: suite digest drift gate =="
+# The 19-kernel suite × 4 flavors, emulated untraced. In-binary asserts:
+# every point passes its kernel oracle and serial == --jobs. The JSON
+# artifact (point count, committed instructions, state digest) is fully
+# deterministic and drift-gated like BENCH_fig8.json.
 ./target/release/emu --quiet --json BENCH_emu.json > /dev/null
 git diff --exit-code -- BENCH_emu.json
-# 2000 dedicated exec-engine cases: random kernels/flavors/vector lengths
-# diffed between interpreter and translated mode — full traces, digests,
-# memory, sliced resume and fault rollback (the `all` run above only gives
-# the exec engine a tenth of the budget).
-./target/release/uve-conform --engine exec --seed 7 --cases 2000 --quiet
 
 echo "== distributed sweeps: coordinator + 2 workers vs serial, warm cache =="
 # A real coordinator process and two real worker processes over loopback

@@ -1,38 +1,27 @@
-//! Emulated-instruction throughput: decode-dispatch interpreter vs the
-//! basic-block translation cache (`ExecMode::Translated`).
+//! Functional emulation over the whole evaluation suite: a state digest
+//! and reference throughput.
 //!
-//! Runs the full 19-kernel evaluation suite across all four code flavors,
-//! untraced (`record_trace: false` — the configuration conformance sweeps
-//! and SMP scheduling spend their wall-clock in), under both execution
-//! modes. Asserts per point that committed instructions, `arch_digest` and
-//! memory `content_hash` are bit-identical across modes, re-runs the
-//! translated pass under a parallel worker pool and asserts it
-//! bit-identical to the serial pass, and gates the speedup on the
-//! dispatch-bound scalar flavor (translated ≥ `--min-speedup`× interpreter
-//! Minst/s, default 5). The translation cache removes per-instruction
-//! dispatch overhead; UVE points spend their wall-clock in the stream unit
-//! and SVE/NEON points in per-lane semantic work — both shared verbatim
-//! with the interpreter — so those flavors' speedups are reported as
-//! reference only.
+//! Runs the 19-kernel evaluation suite across all four code flavors,
+//! untraced (`record_trace: false`), and checks every point against its
+//! kernel's oracle. The suite is then re-run under a parallel worker pool,
+//! and the pass is asserted bit-identical to the serial one (committed
+//! instructions, `arch_digest` and memory `content_hash` per point).
+//! Emulated Minst/s per flavor is printed as machine-local reference only.
 //!
-//! `--json FILE` writes the `BENCH_emu.json` artifact. Its `suite` section
-//! (point count, total committed instructions, a digest over every point's
-//! final state) is deterministic across machines; the wall-clock Minst/s
-//! numbers are reference-only. The file is rewritten only when the
-//! deterministic section changes, so a checked-in artifact stays
-//! `git diff`-clean on any machine while still drift-gating functional
-//! changes.
+//! `--json FILE` writes the `BENCH_emu.json` artifact: point count, total
+//! committed instructions and a digest over every point's final state.
+//! Every value in it is deterministic, so the checked-in file is
+//! drift-gated as is.
 //!
-//! Usage: `emu [--jobs N | --serial] [--quiet] [--reps N]
-//! [--min-speedup X] [--json FILE]`.
+//! Usage: `emu [--jobs N | --serial] [--quiet] [--json FILE]`.
 
 use std::time::Instant;
 use uve_bench::{default_jobs, header, row, run_indexed, Cli, RunMode};
-use uve_core::{EmuConfig, Emulator, ExecMode};
+use uve_core::{EmuConfig, Emulator};
 use uve_kernels::{evaluation_suite, Benchmark, Flavor};
-use uve_mem::Memory;
+use uve_mem::{fnv1a, Memory, FNV_OFFSET};
 
-/// Final state of one functional run, compared across modes and pools.
+/// Final state of one functional run, compared across pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Outcome {
     committed: u64,
@@ -40,13 +29,12 @@ struct Outcome {
     mem_hash: u64,
 }
 
-/// Runs one (kernel, flavor) point untraced under `exec`, returning the
-/// outcome and the emulation wall-clock in seconds.
-fn run_point(bench: &dyn Benchmark, flavor: Flavor, exec: ExecMode) -> (Outcome, f64) {
+/// Runs one (kernel, flavor) point untraced, returning the outcome and the
+/// emulation wall-clock in seconds.
+fn run_point(bench: &dyn Benchmark, flavor: Flavor) -> (Outcome, f64) {
     let cfg = EmuConfig {
         vlen_bytes: flavor.vlen_bytes(),
         record_trace: false,
-        exec,
         ..EmuConfig::default()
     };
     let mut emu = Emulator::new(cfg, Memory::new());
@@ -55,11 +43,11 @@ fn run_point(bench: &dyn Benchmark, flavor: Flavor, exec: ExecMode) -> (Outcome,
     let t0 = Instant::now();
     let result = emu
         .run(&program)
-        .unwrap_or_else(|e| panic!("{}/{flavor}/{exec:?}: {e}", bench.name()));
+        .unwrap_or_else(|e| panic!("{}/{flavor}: {e}", bench.name()));
     let dt = t0.elapsed().as_secs_f64();
     bench
         .check(&emu)
-        .unwrap_or_else(|e| panic!("{}/{flavor}/{exec:?}: {e}", bench.name()));
+        .unwrap_or_else(|e| panic!("{}/{flavor}: {e}", bench.name()));
     (
         Outcome {
             committed: result.committed,
@@ -73,29 +61,20 @@ fn run_point(bench: &dyn Benchmark, flavor: Flavor, exec: ExecMode) -> (Outcome,
 /// FNV-1a over every point's name, flavor and outcome — the deterministic
 /// fingerprint of the whole suite's functional behaviour.
 fn suite_digest(points: &[(String, Flavor)], outcomes: &[Outcome]) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut put = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    };
+    let mut h = FNV_OFFSET;
     for ((name, flavor), o) in points.iter().zip(outcomes) {
-        put(name.as_bytes());
-        put(format!("{flavor}").as_bytes());
-        put(&o.committed.to_le_bytes());
-        put(&o.arch_digest.to_le_bytes());
-        put(&o.mem_hash.to_le_bytes());
+        h = fnv1a(h, name.as_bytes());
+        h = fnv1a(h, format!("{flavor}").as_bytes());
+        h = fnv1a(h, &o.committed.to_le_bytes());
+        h = fnv1a(h, &o.arch_digest.to_le_bytes());
+        h = fnv1a(h, &o.mem_hash.to_le_bytes());
     }
     h
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() {
     let cli = Cli::parse();
     let quiet = cli.has("--quiet");
-    let reps: usize = cli.parsed("--reps").unwrap_or(3).max(1);
-    let min_speedup: f64 = cli.parsed("--min-speedup").unwrap_or(5.0);
     let jobs = if cli.has("--serial") {
         1
     } else {
@@ -113,50 +92,14 @@ fn main() {
         .map(|&(i, f)| (suite[i].name().to_string(), f))
         .collect();
 
-    // Serial timed passes: per point, best-of-`reps` emulation time in each
-    // mode, with per-point bit-identity asserted between modes.
-    let mut interp = Vec::with_capacity(points.len());
-    let mut trans = Vec::with_capacity(points.len());
-    let mut t_interp = Vec::with_capacity(points.len());
-    let mut t_trans = Vec::with_capacity(points.len());
-    for &(i, flavor) in &points {
-        let bench = suite[i].as_ref();
-        let (mut oi, mut ti) = run_point(bench, flavor, ExecMode::Interpret);
-        let (mut ot, mut tt) = run_point(bench, flavor, ExecMode::Translated);
-        for _ in 1..reps {
-            let (o2, t2) = run_point(bench, flavor, ExecMode::Interpret);
-            assert_eq!(
-                oi,
-                o2,
-                "{}/{flavor}: interpreter not deterministic",
-                bench.name()
-            );
-            ti = ti.min(t2);
-            oi = o2;
-            let (o3, t3) = run_point(bench, flavor, ExecMode::Translated);
-            assert_eq!(
-                ot,
-                o3,
-                "{}/{flavor}: translated not deterministic",
-                bench.name()
-            );
-            tt = tt.min(t3);
-            ot = o3;
-        }
-        assert_eq!(
-            oi,
-            ot,
-            "{}/{flavor}: translated mode diverged from the interpreter",
-            bench.name()
-        );
-        interp.push(oi);
-        trans.push(ot);
-        t_interp.push(ti);
-        t_trans.push(tt);
-    }
+    // Serial timed pass.
+    let (serial, secs): (Vec<Outcome>, Vec<f64>) = points
+        .iter()
+        .map(|&(i, flavor)| run_point(suite[i].as_ref(), flavor))
+        .unzip();
 
-    // Parallel translated pass: submission-ordered results must be
-    // bit-identical to the serial pass regardless of worker count.
+    // Parallel pass: submission-ordered results must be bit-identical to
+    // the serial pass regardless of worker count.
     let mode = if jobs > 1 {
         RunMode::Parallel(jobs)
     } else {
@@ -164,150 +107,55 @@ fn main() {
     };
     let parallel: Vec<Outcome> = run_indexed(mode, points.len(), |k| {
         let (i, flavor) = points[k];
-        run_point(suite[i].as_ref(), flavor, ExecMode::Translated).0
+        run_point(suite[i].as_ref(), flavor).0
     });
     assert_eq!(
-        trans, parallel,
-        "translated outcomes differ between serial and --jobs {jobs}"
+        serial, parallel,
+        "outcomes differ between serial and --jobs {jobs}"
     );
 
-    let total_committed: u64 = interp.iter().map(|o| o.committed).sum();
-    let sum_i: f64 = t_interp.iter().sum();
-    let sum_t: f64 = t_trans.iter().sum();
-    let minst_i = total_committed as f64 / sum_i / 1e6;
-    let minst_t = total_committed as f64 / sum_t / 1e6;
-    let speedup = minst_t / minst_i;
-
-    // Per-flavor aggregates. The translation cache targets per-instruction
-    // *dispatch* overhead, so the gated figure is the scalar flavor — the
-    // dispatch-bound one. UVE points spend their time in the stream unit
-    // (shared verbatim with the interpreter) and SVE/NEON points in
-    // per-lane semantic work, so their speedups are reported as reference
-    // only.
-    struct FlavorAgg {
-        flavor: Flavor,
-        minst_i: f64,
-        minst_t: f64,
-        speedup: f64,
-    }
-    let per_flavor: Vec<FlavorAgg> = Flavor::all()
-        .into_iter()
-        .map(|fl| {
-            let idx: Vec<usize> = (0..points.len()).filter(|&k| points[k].1 == fl).collect();
-            let c: u64 = idx.iter().map(|&k| interp[k].committed).sum();
-            let ti: f64 = idx.iter().map(|&k| t_interp[k]).sum();
-            let tt: f64 = idx.iter().map(|&k| t_trans[k]).sum();
-            let mi = c as f64 / ti / 1e6;
-            let mt = c as f64 / tt / 1e6;
-            FlavorAgg {
-                flavor: fl,
-                minst_i: mi,
-                minst_t: mt,
-                speedup: mt / mi,
-            }
-        })
-        .collect();
-    let scalar = per_flavor
-        .iter()
-        .find(|a| a.flavor == Flavor::Scalar)
-        .expect("scalar flavor in suite");
-
+    let total_committed: u64 = serial.iter().map(|o| o.committed).sum();
     if !quiet {
         header(
-            "Emulated-instruction throughput — interpreter vs translated",
-            &["flavor", "Minst", "interp s", "trans s", "speedup"],
+            "Emulated-instruction throughput (untraced)",
+            &["flavor", "Minst", "s", "Minst/s"],
         );
         for (k, (name, flavor)) in labels.iter().enumerate() {
+            let minst = serial[k].committed as f64 / 1e6;
             row(
                 name,
                 &[
                     format!("{flavor}"),
-                    format!("{:.2}", interp[k].committed as f64 / 1e6),
-                    format!("{:.4}", t_interp[k]),
-                    format!("{:.4}", t_trans[k]),
-                    format!("{:.2}x", t_interp[k] / t_trans[k]),
+                    format!("{minst:.2}"),
+                    format!("{:.4}", secs[k]),
+                    format!("{:.1}", minst / secs[k]),
                 ],
             );
         }
     }
-    for a in &per_flavor {
-        println!(
-            "{:>8}: interpreter {:.1} Minst/s, translated {:.1} Minst/s, speedup {:.2}x{}",
-            format!("{}", a.flavor),
-            a.minst_i,
-            a.minst_t,
-            a.speedup,
-            if a.flavor == Flavor::Scalar {
-                "  <- gated (dispatch-bound)"
-            } else {
-                ""
-            },
-        );
+    for fl in Flavor::all() {
+        let idx = (0..points.len()).filter(|&k| points[k].1 == fl);
+        let (c, t) = idx.fold((0u64, 0.0f64), |(c, t), k| {
+            (c + serial[k].committed, t + secs[k])
+        });
+        println!("{:>8}: {:.1} Minst/s", format!("{fl}"), c as f64 / t / 1e6);
     }
     println!(
-        "suite: {} points, {:.1} Minst; all-flavor interpreter {minst_i:.1} Minst/s, \
-         translated {minst_t:.1} Minst/s, speedup {speedup:.2}x \
-         (serial == --jobs {jobs}: yes)",
+        "suite: {} points, {:.1} Minst, {:.1} Minst/s (serial == --jobs {jobs}: yes)",
         points.len(),
         total_committed as f64 / 1e6,
+        total_committed as f64 / secs.iter().sum::<f64>() / 1e6,
     );
 
     if let Some(path) = cli.value("--json") {
-        let digest = suite_digest(&labels, &interp);
-        // Deterministic across machines: only functional facts.
-        let suite_block = format!(
-            "  \"suite\": {{\n    \"kernels\": {},\n    \"points\": {},\n    \
-             \"total_committed\": {},\n    \"state_digest\": \"0x{:016x}\"\n  }}",
+        let json = format!(
+            "{{\n  \"suite\": {{\n    \"kernels\": {},\n    \"points\": {},\n    \
+             \"total_committed\": {},\n    \"state_digest\": \"0x{:016x}\"\n  }}\n}}\n",
             suite.len(),
             points.len(),
             total_committed,
-            digest,
+            suite_digest(&labels, &serial),
         );
-        let flavor_rows: Vec<String> = per_flavor
-            .iter()
-            .map(|a| {
-                format!(
-                    "      {{\"flavor\": \"{}\", \"interpreter_minst_per_s\": {:.1}, \
-                     \"translated_minst_per_s\": {:.1}, \"speedup\": {:.2}}}",
-                    a.flavor, a.minst_i, a.minst_t, a.speedup
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n{suite_block},\n  \"reference_throughput\": {{\n    \
-             \"interpreter_minst_per_s\": {minst_i:.1},\n    \
-             \"translated_minst_per_s\": {minst_t:.1},\n    \
-             \"speedup\": {speedup:.2},\n    \
-             \"per_flavor\": [\n{}\n    ],\n    \
-             \"gate_flavor\": \"{}\",\n    \
-             \"gated_speedup\": {:.2},\n    \
-             \"min_speedup_gate\": {min_speedup:.1},\n    \
-             \"serial_jobs_bit_identical\": true\n  }}\n}}\n",
-            flavor_rows.join(",\n"),
-            Flavor::Scalar,
-            scalar.speedup,
-        );
-        let unchanged = std::fs::read_to_string(path)
-            .map(|old| old.contains(&suite_block))
-            .unwrap_or(false);
-        if unchanged {
-            if !quiet {
-                println!("{path}: deterministic suite section unchanged, not rewritten");
-            }
-        } else {
-            std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            if !quiet {
-                println!("{path}: rewritten (deterministic suite section changed)");
-            }
-        }
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     }
-
-    assert!(
-        scalar.speedup >= min_speedup,
-        "translated-mode speedup on the dispatch-bound scalar flavor is \
-         {:.2}x, below the {min_speedup:.1}x gate ({:.1} -> {:.1} Minst/s)",
-        scalar.speedup,
-        scalar.minst_i,
-        scalar.minst_t,
-    );
 }

@@ -38,11 +38,7 @@ fn suite_runs(runner: &Runner) -> Vec<KernelRuns> {
     let cpu = CpuConfig::default();
     let jobs: Vec<Job> = suite
         .iter()
-        .flat_map(|bench| {
-            SUITE_FLAVORS.map(|flavor| {
-                Job::new(bench.as_ref(), flavor, cpu.clone()).exec(runner.exec_mode())
-            })
-        })
+        .flat_map(|bench| SUITE_FLAVORS.map(|flavor| Job::new(bench.as_ref(), flavor, cpu.clone())))
         .collect();
     let results = runner.run(&jobs);
     runner.maybe_explain(&results);
@@ -200,7 +196,7 @@ pub fn fig8(panel: Option<&str>, runner: &Runner) {
             .collect();
         let jobs: Vec<Job> = unrolled
             .iter()
-            .map(|b| Job::new(b, Flavor::Uve, cpu.clone()).exec(runner.exec_mode()))
+            .map(|b| Job::new(b, Flavor::Uve, cpu.clone()))
             .collect();
         let results = runner.run(&jobs);
         runner.maybe_explain(&results);
@@ -236,7 +232,7 @@ pub fn fig8_json(path: &str, runner: &Runner) {
         .iter()
         .map(|bench| Job {
             packing: IndirectPacking::Unpacked,
-            ..Job::new(bench.as_ref(), Flavor::Uve, cpu.clone()).exec(runner.exec_mode())
+            ..Job::new(bench.as_ref(), Flavor::Uve, cpu.clone())
         })
         .collect();
     let unpacked = runner.run(&unpacked_jobs);
@@ -311,7 +307,7 @@ pub fn fig9(runner: &Runner) {
                         vec_prf: pvr,
                         ..CpuConfig::default()
                     };
-                    Job::new(bench.as_ref(), flavor, cpu).exec(runner.exec_mode())
+                    Job::new(bench.as_ref(), flavor, cpu)
                 })
             })
         })
@@ -362,7 +358,7 @@ pub fn fig10(runner: &Runner) {
                     },
                     ..CpuConfig::default()
                 };
-                Job::new(bench.as_ref(), Flavor::Uve, cpu).exec(runner.exec_mode())
+                Job::new(bench.as_ref(), Flavor::Uve, cpu)
             })
         })
         .collect();
@@ -400,7 +396,7 @@ pub fn fig11(runner: &Runner) {
         .flat_map(|bench| {
             levels.map(|level| Job {
                 stream_level: level,
-                ..Job::new(bench.as_ref(), Flavor::Uve, cpu.clone()).exec(runner.exec_mode())
+                ..Job::new(bench.as_ref(), Flavor::Uve, cpu.clone())
             })
         })
         .collect();
@@ -439,7 +435,7 @@ pub fn modules(runner: &Runner) {
                     },
                     ..CpuConfig::default()
                 };
-                Job::new(bench.as_ref(), Flavor::Uve, cpu).exec(runner.exec_mode())
+                Job::new(bench.as_ref(), Flavor::Uve, cpu)
             })
         })
         .collect();
@@ -524,9 +520,8 @@ pub fn dsp_families(json: Option<&str>, runner: &Runner) {
         .iter()
         .flat_map(|(_, suite)| {
             suite.iter().flat_map(|bench| {
-                [Flavor::Uve, Flavor::Scalar].map(|flavor| {
-                    Job::new(bench.as_ref(), flavor, cpu.clone()).exec(runner.exec_mode())
-                })
+                [Flavor::Uve, Flavor::Scalar]
+                    .map(|flavor| Job::new(bench.as_ref(), flavor, cpu.clone()))
             })
         })
         .collect();

@@ -30,8 +30,8 @@ pub use cli::Cli;
 pub use pool::{panic_message, run_indexed, run_isolated};
 pub use report::{ReportRow, StatsReport};
 pub use runner::{
-    default_jobs, emulate_trace_full, parse_exec_mode, replay, CachedTrace, Job, JobFailure,
-    RunMode, Runner, TraceKey, SWEEP_FAULT_RATE,
+    default_jobs, emulate_trace_full, replay, CachedTrace, Job, JobFailure, RunMode, Runner,
+    TraceKey, SWEEP_FAULT_RATE,
 };
 
 use uve_cpu::{CpuConfig, TimingStats};

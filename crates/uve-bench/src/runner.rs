@@ -55,9 +55,6 @@ pub struct Job<'a> {
     pub stream_level: MemLevel,
     /// Indirect-stream chunking mode (affects the functional trace).
     pub packing: IndirectPacking,
-    /// Execution strategy for the functional emulation (bit-identical
-    /// traces either way; part of the cache key regardless).
-    pub exec: ExecMode,
     /// Stream page-fault plan seed (0 disables injection; a nonzero seed
     /// faults ~1/[`SWEEP_FAULT_RATE`] first-touched pages and recovers
     /// precisely, so the final state stays bit-identical).
@@ -66,7 +63,7 @@ pub struct Job<'a> {
 
 impl<'a> Job<'a> {
     /// A job at the paper's default L2 stream level, packed indirect
-    /// chunking, interpreted execution, and no fault injection.
+    /// chunking, and no fault injection.
     pub fn new(bench: &'a dyn Benchmark, flavor: Flavor, cpu: CpuConfig) -> Self {
         Self {
             bench,
@@ -74,16 +71,8 @@ impl<'a> Job<'a> {
             cpu,
             stream_level: MemLevel::L2,
             packing: IndirectPacking::default(),
-            exec: ExecMode::default(),
             fault_seed: 0,
         }
-    }
-
-    /// The same job under the given execution mode (builder style).
-    #[must_use]
-    pub fn exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
-        self
     }
 
     /// The trace-cache key this job resolves to.
@@ -93,7 +82,6 @@ impl<'a> Job<'a> {
             self.flavor,
             self.stream_level,
             self.packing,
-            self.exec,
             self.fault_seed,
         )
     }
@@ -116,8 +104,6 @@ pub struct TraceKey {
     pub stream_level: MemLevel,
     /// Indirect-stream chunking mode.
     pub packing: IndirectPacking,
-    /// Execution strategy the trace was produced under.
-    pub exec: ExecMode,
     /// Stream fault-plan seed the trace was emulated under (0 = clean).
     pub fault_seed: u64,
     /// Fingerprint of the flavour's program (captures kernel parameters).
@@ -125,17 +111,6 @@ pub struct TraceKey {
 }
 
 impl TraceKey {
-    /// The key of `(bench, flavor, stream_level, packing)` under
-    /// interpreted, fault-free emulation.
-    pub fn of(
-        bench: &dyn Benchmark,
-        flavor: Flavor,
-        stream_level: MemLevel,
-        packing: IndirectPacking,
-    ) -> Self {
-        Self::of_full(bench, flavor, stream_level, packing, ExecMode::default(), 0)
-    }
-
     /// The fully qualified key: everything the functional emulation of a
     /// job depends on. This is the trace half of the content address the
     /// distributed sweep cache (`uve-sweep`) keys results by.
@@ -151,7 +126,6 @@ impl TraceKey {
         flavor: Flavor,
         stream_level: MemLevel,
         packing: IndirectPacking,
-        exec: ExecMode,
         fault_seed: u64,
     ) -> Self {
         Self {
@@ -160,7 +134,6 @@ impl TraceKey {
             vlen: flavor.vlen_bytes(),
             stream_level,
             packing,
-            exec,
             fault_seed,
             program: uve_core::program_fingerprint(&bench.program(flavor)),
         }
@@ -184,28 +157,12 @@ pub struct CachedTrace {
 /// Panics if the kernel mis-executes or fails its correctness check —
 /// measurement of an incorrect run would be meaningless.
 pub fn emulate_trace(bench: &dyn Benchmark, flavor: Flavor, stream_level: MemLevel) -> CachedTrace {
-    emulate_trace_with(bench, flavor, stream_level, IndirectPacking::default())
+    emulate_trace_full(bench, flavor, stream_level, IndirectPacking::default(), 0)
 }
 
-/// [`emulate_trace`] with an explicit [`IndirectPacking`] mode for the
-/// packed-vs-unpacked ablation.
-///
-/// # Panics
-///
-/// As [`emulate_trace`].
-pub fn emulate_trace_with(
-    bench: &dyn Benchmark,
-    flavor: Flavor,
-    stream_level: MemLevel,
-    packing: IndirectPacking,
-) -> CachedTrace {
-    emulate_trace_full(bench, flavor, stream_level, packing, ExecMode::default(), 0)
-}
-
-/// [`emulate_trace`] with every functional knob explicit: chunking mode,
-/// execution strategy, and an optional stream fault-plan seed (0 = clean;
-/// nonzero seeds fault ~1/[`SWEEP_FAULT_RATE`] first-touched pages and
-/// recover precisely). This is the single emulation entry point of the
+/// [`emulate_trace`] with every functional knob explicit: chunking mode and
+/// an optional stream fault-plan seed (0 = clean; nonzero seeds fault
+/// ~1/[`SWEEP_FAULT_RATE`] first-touched pages and recover precisely). This is the single emulation entry point of the
 /// distributed sweep worker.
 ///
 /// # Panics
@@ -216,14 +173,12 @@ pub fn emulate_trace_full(
     flavor: Flavor,
     stream_level: MemLevel,
     packing: IndirectPacking,
-    exec: ExecMode,
     fault_seed: u64,
 ) -> CachedTrace {
     let emu_cfg = EmuConfig {
         vlen_bytes: flavor.vlen_bytes(),
         stream_level,
         packing,
-        exec,
         ..EmuConfig::default()
     };
     let mut emu = uve_core::Emulator::new(emu_cfg, Memory::new());
@@ -272,7 +227,6 @@ impl TraceCache {
         flavor: Flavor,
         stream_level: MemLevel,
         packing: IndirectPacking,
-        exec: ExecMode,
         fault_seed: u64,
     ) -> Arc<CachedTrace> {
         let cell = {
@@ -283,7 +237,6 @@ impl TraceCache {
                     flavor,
                     stream_level,
                     packing,
-                    exec,
                     fault_seed,
                 ))
                 .or_default(),
@@ -296,7 +249,6 @@ impl TraceCache {
                 flavor,
                 stream_level,
                 packing,
-                exec,
                 fault_seed,
             ))
         });
@@ -358,7 +310,6 @@ pub struct Runner {
     mode: RunMode,
     verbose: bool,
     explain: bool,
-    exec: ExecMode,
     timeout: Option<Duration>,
     failures: Mutex<Vec<JobFailure>>,
     cache: TraceCache,
@@ -371,7 +322,6 @@ impl Runner {
             mode: RunMode::Serial,
             verbose: false,
             explain: false,
-            exec: ExecMode::default(),
             timeout: Some(DEFAULT_JOB_TIMEOUT),
             failures: Mutex::new(Vec::new()),
             cache: TraceCache::default(),
@@ -395,10 +345,8 @@ impl Runner {
     /// sequential baseline, `--jobs N` sets the worker count, `--quiet`
     /// silences per-job wall-clock reporting, `--explain` appends the
     /// cycle-attribution report to every figure, `--timeout SECS` sets the
-    /// per-job wall-clock budget (0 disables it; default 600 s),
-    /// `--exec-mode interpret|translated` picks the functional execution
-    /// strategy (bit-identical results; translated is faster). Default:
-    /// one worker per core, reporting on, no explain, interpreted.
+    /// per-job wall-clock budget (0 disables it; default 600 s). Default:
+    /// one worker per core, reporting on, no explain.
     /// Unrecognized arguments are ignored so the figure binaries can keep
     /// their own flags.
     pub fn from_args() -> Self {
@@ -415,11 +363,6 @@ impl Runner {
         };
         runner.verbose = !cli.has("--quiet");
         runner.explain = cli.has("--explain");
-        if let Some(mode) = cli.value("--exec-mode") {
-            runner.exec = parse_exec_mode(mode).unwrap_or_else(|| {
-                panic!("bad --exec-mode {mode:?}: expected interpret or translated")
-            });
-        }
         if let Some(secs) = cli.parsed::<u64>("--timeout") {
             runner.timeout = (secs > 0).then(|| Duration::from_secs(secs));
         }
@@ -436,20 +379,6 @@ impl Runner {
     pub fn explain(mut self, explain: bool) -> Self {
         self.explain = explain;
         self
-    }
-
-    /// Sets the functional execution strategy used by
-    /// [`Runner::trace`]/[`Runner::trace_with`] (builder style).
-    #[must_use]
-    pub fn exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// The execution strategy this runner emulates traces under
-    /// (`--exec-mode`; figure generators stamp it onto their jobs).
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
     }
 
     /// Sets the per-job wall-clock budget (`None` disables timeouts).
@@ -497,42 +426,25 @@ impl Runner {
         flavor: Flavor,
         stream_level: MemLevel,
     ) -> Arc<CachedTrace> {
-        self.cache.get(
-            bench,
-            flavor,
-            stream_level,
-            IndirectPacking::default(),
-            self.exec,
-            0,
-        )
-    }
-
-    /// [`Runner::trace`] with an explicit [`IndirectPacking`] mode, for
-    /// the packed-vs-unpacked ablation.
-    pub fn trace_with(
-        &self,
-        bench: &dyn Benchmark,
-        flavor: Flavor,
-        stream_level: MemLevel,
-        packing: IndirectPacking,
-    ) -> Arc<CachedTrace> {
         self.cache
-            .get(bench, flavor, stream_level, packing, self.exec, 0)
+            .get(bench, flavor, stream_level, IndirectPacking::default(), 0)
     }
 
     /// [`Runner::trace`] with every functional knob explicit — the
-    /// distributed sweep worker's cache entry point.
+    /// distributed sweep worker's cache entry point. `_exec` is ignored:
+    /// interpretation is the only execution strategy, and the parameter
+    /// stays only because callers pass a sweep point's [`ExecMode`] field.
     pub fn trace_full(
         &self,
         bench: &dyn Benchmark,
         flavor: Flavor,
         stream_level: MemLevel,
         packing: IndirectPacking,
-        exec: ExecMode,
+        _exec: ExecMode,
         fault_seed: u64,
     ) -> Arc<CachedTrace> {
         self.cache
-            .get(bench, flavor, stream_level, packing, exec, fault_seed)
+            .get(bench, flavor, stream_level, packing, fault_seed)
     }
 
     /// Warms the trace cache for `points` using the worker pool; later
@@ -551,14 +463,8 @@ impl Runner {
                 let (bench, flavor, level) = points[i];
                 uve_core::deadline::arm(self.timeout);
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.cache.get(
-                        bench,
-                        flavor,
-                        level,
-                        IndirectPacking::default(),
-                        self.exec,
-                        0,
-                    );
+                    self.cache
+                        .get(bench, flavor, level, IndirectPacking::default(), 0);
                 }));
                 uve_core::deadline::disarm();
                 if let Err(payload) = outcome {
@@ -648,7 +554,6 @@ impl Runner {
                 job.flavor,
                 job.stream_level,
                 job.packing,
-                job.exec,
                 job.fault_seed,
             );
             replay(job.bench.name(), job.flavor, &cached, &job.cpu)
@@ -713,15 +618,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Parses an `--exec-mode` value (`interpret` or `translated`).
-pub fn parse_exec_mode(s: &str) -> Option<ExecMode> {
-    match s.to_ascii_lowercase().as_str() {
-        "interpret" | "interpreter" => Some(ExecMode::Interpret),
-        "translated" | "translate" => Some(ExecMode::Translated),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -760,8 +656,8 @@ mod tests {
         use uve_kernels::gemm::GemmUnrolled;
         let a = GemmUnrolled::new(8, 32, 8, 1);
         let b = GemmUnrolled::new(8, 32, 8, 2);
-        let ka = TraceKey::of(&a, Flavor::Uve, MemLevel::L2, IndirectPacking::Packed);
-        let kb = TraceKey::of(&b, Flavor::Uve, MemLevel::L2, IndirectPacking::Packed);
+        let ka = TraceKey::of_full(&a, Flavor::Uve, MemLevel::L2, IndirectPacking::Packed, 0);
+        let kb = TraceKey::of_full(&b, Flavor::Uve, MemLevel::L2, IndirectPacking::Packed, 0);
         assert_eq!(ka.kernel, kb.kernel, "same display name");
         assert_ne!(ka, kb, "different programs must not share a trace");
     }

@@ -37,12 +37,7 @@
 //!   (encode→decode→re-encode fixpoint), truncated and corrupted frames
 //!   checked to decode gracefully, and randomized grids merged through
 //!   the coordinator's assembly in shuffled completion orders, checked
-//!   bit-identical to the in-order merge;
-//! - [`exec_diff`] — the translated execution mode: random kernel
-//!   instances, flavors and vector lengths run under both
-//!   [`uve_core::ExecMode`]s and diffed for bit-identical traces,
-//!   architectural digests, memory and per-stream element totals,
-//!   including budgeted-resume slicing and fault-plan recovery.
+//!   bit-identical to the in-order merge.
 //!
 //! Everything is registry-free and deterministic: cases derive from
 //! `(seed, engine, case index)` via the workspace's SplitMix64
@@ -51,7 +46,6 @@
 //! replays formerly failing cases as a tier-1 test.
 
 pub mod asm_fuzz;
-pub mod exec_diff;
 pub mod fault_fuzz;
 pub mod isa_fuzz;
 pub mod kernel_diff;
@@ -71,7 +65,7 @@ pub trait Engine {
     type Case: Clone + std::fmt::Debug + Send;
 
     /// Engine name as used by the CLI and the corpus (`pattern`, `isa`,
-    /// `asm`, `kernel`, `stats`, `fault`, `smp`, `exec`, `sweep`).
+    /// `asm`, `kernel`, `stats`, `fault`, `smp`, `sweep`).
     fn name() -> &'static str;
 
     /// Generates the case owned by `rng` (must consume randomness only
@@ -251,7 +245,6 @@ pub fn replay_one(engine: &str, seed: u64, case: u64) -> Result<(), String> {
         "stats" => one::<stats_diff::StatsEngine>(seed, case),
         "fault" => one::<fault_fuzz::FaultEngine>(seed, case),
         "smp" => one::<smp_fuzz::SmpEngine>(seed, case),
-        "exec" => one::<exec_diff::ExecEngine>(seed, case),
         "sweep" => one::<sweep_fuzz::SweepEngine>(seed, case),
         other => Err(format!("unknown engine {other:?}")),
     }
@@ -296,7 +289,7 @@ mod tests {
         for (engine, _, _) in &entries {
             assert!(matches!(
                 engine.as_str(),
-                "pattern" | "isa" | "asm" | "kernel" | "stats" | "fault" | "smp" | "exec" | "sweep"
+                "pattern" | "isa" | "asm" | "kernel" | "stats" | "fault" | "smp" | "sweep"
             ));
         }
     }

@@ -1,7 +1,7 @@
 //! `uve-conform` — offline differential fuzzer for the UVE reproduction.
 //!
 //! ```text
-//! uve-conform [--engine pattern|isa|asm|kernel|stats|fault|smp|exec|sweep|all] [--seed N]
+//! uve-conform [--engine pattern|isa|asm|kernel|stats|fault|smp|sweep|all] [--seed N]
 //!             [--cases N] [--jobs N | --serial] [--quiet]
 //! ```
 //!
@@ -15,13 +15,13 @@
 use std::process::ExitCode;
 use uve_bench::{default_jobs, RunMode};
 use uve_conform::{
-    asm_fuzz::AsmEngine, exec_diff::ExecEngine, fault_fuzz::FaultEngine, isa_fuzz::IsaEngine,
-    kernel_diff::KernelEngine, pattern_fuzz::PatternEngine, smp_fuzz::SmpEngine,
-    stats_diff::StatsEngine, sweep_fuzz::SweepEngine,
+    asm_fuzz::AsmEngine, fault_fuzz::FaultEngine, isa_fuzz::IsaEngine, kernel_diff::KernelEngine,
+    pattern_fuzz::PatternEngine, smp_fuzz::SmpEngine, stats_diff::StatsEngine,
+    sweep_fuzz::SweepEngine,
 };
 
 const USAGE: &str =
-    "usage: uve-conform [--engine pattern|isa|asm|kernel|stats|fault|smp|exec|sweep|all] \
+    "usage: uve-conform [--engine pattern|isa|asm|kernel|stats|fault|smp|sweep|all] \
                      [--seed N] [--cases N] [--jobs N | --serial] [--quiet]";
 
 struct Opts {
@@ -78,8 +78,9 @@ fn parse_args() -> Result<Opts, String> {
         }
     }
     match opts.engine.as_str() {
-        "pattern" | "isa" | "asm" | "kernel" | "stats" | "fault" | "smp" | "exec" | "sweep"
-        | "all" => Ok(opts),
+        "pattern" | "isa" | "asm" | "kernel" | "stats" | "fault" | "smp" | "sweep" | "all" => {
+            Ok(opts)
+        }
         other => Err(format!("unknown engine {other:?}\n{USAGE}")),
     }
 }
@@ -100,7 +101,6 @@ fn main() -> ExitCode {
     let run_stats = matches!(opts.engine.as_str(), "stats" | "all");
     let run_fault = matches!(opts.engine.as_str(), "fault" | "all");
     let run_smp = matches!(opts.engine.as_str(), "smp" | "all");
-    let run_exec = matches!(opts.engine.as_str(), "exec" | "all");
     let run_sweep = matches!(opts.engine.as_str(), "sweep" | "all");
 
     let mut failed_engines = 0u8;
@@ -170,19 +170,6 @@ fn main() -> ExitCode {
             opts.cases
         };
         report(uve_conform::run_engine::<SmpEngine>(
-            opts.seed, cases, opts.mode,
-        ));
-    }
-    if run_exec {
-        // Each exec case emulates the kernel four to six times (traced and
-        // untraced in both modes, plus sliced and faulted re-runs), so it
-        // gets the same reduced budget as the stats engine under `all`.
-        let cases = if opts.engine == "all" {
-            (opts.cases / 10).max(1)
-        } else {
-            opts.cases
-        };
-        report(uve_conform::run_engine::<ExecEngine>(
             opts.seed, cases, opts.mode,
         ));
     }

@@ -105,10 +105,6 @@ fn rand_packing(rng: &mut FuzzRng) -> IndirectPacking {
     *rng.pick(&[IndirectPacking::Packed, IndirectPacking::Unpacked])
 }
 
-fn rand_exec(rng: &mut FuzzRng) -> ExecMode {
-    *rng.pick(&[ExecMode::Interpret, ExecMode::Translated])
-}
-
 fn rand_point(rng: &mut FuzzRng) -> PointSpec {
     PointSpec {
         small: rng.bool(),
@@ -116,7 +112,7 @@ fn rand_point(rng: &mut FuzzRng) -> PointSpec {
         flavor: rand_flavor(rng),
         level: rand_level(rng),
         packing: rand_packing(rng),
-        exec: rand_exec(rng),
+        exec: ExecMode::Interpret,
         fault_seed: rng.u64(),
         cores: rng.u64() as u32,
         vec_prf: rng.u64() as u32,
@@ -153,9 +149,6 @@ fn rand_spec(rng: &mut FuzzRng) -> SweepSpec {
     }
     for _ in 0..rng.range_usize(0, 2) {
         spec.packings.push(rand_packing(rng));
-    }
-    for _ in 0..rng.range_usize(0, 2) {
-        spec.execs.push(rand_exec(rng));
     }
     for _ in 0..rng.range_usize(0, 3) {
         spec.fault_seeds.push(rng.u64());

@@ -3,17 +3,15 @@
 
 use crate::stream_unit::{StreamError, StreamUnit};
 use crate::trace::{BranchOutcome, Trace, TraceOp};
-use crate::translate::{ExecMode, TranslationCache};
 use crate::value::{PredVal, Scalar, VecVal};
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use uve_isa::{
-    AluOp, BrCond, Dir, DupSrc, ElemWidth, ExecClass, FlatOp, FpOp, FpUnOp, HorizOp, Inst,
-    PredCond, PredOp, Program, RegClass, StreamCond, StreamCtl, VCmpOp, VOp, VReg, VType, VUnOp,
-    XReg,
+    AluOp, BrCond, Dir, DupSrc, ElemWidth, ExecClass, FpOp, FpUnOp, HorizOp, Inst, PredCond,
+    PredOp, Program, RegClass, StreamCond, StreamCtl, VCmpOp, VOp, VReg, VType, VUnOp, XReg,
 };
-use uve_mem::{Memory, LINE_BYTES};
+use uve_mem::{fnv1a, Memory, FNV_OFFSET, LINE_BYTES};
 
 /// Emulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,10 +29,6 @@ pub struct EmuConfig {
     /// Chunking mode for indirectly modified streams: packed to full vector
     /// width (default) or closed at every dimension-0 boundary.
     pub packing: uve_stream::IndirectPacking,
-    /// Execution strategy: decode-dispatch interpretation (the default and
-    /// the reference oracle) or the basic-block translation cache
-    /// ([`ExecMode::Translated`]), bit-identical but faster.
-    pub exec: ExecMode,
 }
 
 impl Default for EmuConfig {
@@ -45,9 +39,24 @@ impl Default for EmuConfig {
             record_trace: true,
             stream_level: uve_isa::MemLevel::L2,
             packing: uve_stream::IndirectPacking::default(),
-            exec: ExecMode::default(),
         }
     }
+}
+
+/// The emulator's execution strategy. Decode-dispatch interpretation is the
+/// only one: emulation is a small share of every traced run, so a faster
+/// executor does not pay for a second semantics to keep bit-identical.
+///
+/// The type survives only as the `exec` field of the sweep service's
+/// `PointSpec` and the matching parameter of `Runner::trace_full`, which
+/// external callers still name. `PointSpec` encodes it as tag byte 0, so job
+/// keys and durable cache rows are unchanged by the mode's removal; the
+/// field goes with the next model-epoch bump.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ExecMode {
+    /// Decode-dispatch interpretation, one instruction at a time.
+    #[default]
+    Interpret,
 }
 
 /// Errors aborting emulation.
@@ -223,15 +232,6 @@ impl RunCursor {
     }
 }
 
-/// Outcome of the shared front-end gates + fetch (see
-/// [`Emulator::fetch_decoded`]).
-enum FrontEnd {
-    /// The slice budget expired before the next instruction.
-    SliceExpired,
-    /// The fetched instruction at the cursor's PC.
-    Inst(Inst),
-}
-
 /// The functional machine: scalar/vector/predicate registers, memory, and
 /// the stream unit.
 #[derive(Debug)]
@@ -251,8 +251,6 @@ pub struct Emulator {
     fault_plan: Option<StreamFaultPlan>,
     /// Precise stream-fault traps taken and recovered so far.
     faults_taken: u64,
-    /// Translated basic blocks (used only under [`ExecMode::Translated`]).
-    cache: TranslationCache,
 }
 
 impl Emulator {
@@ -274,7 +272,6 @@ impl Emulator {
             vl_bytes: cfg.vlen_bytes,
             fault_plan: None,
             faults_taken: 0,
-            cache: TranslationCache::new(),
         }
     }
 
@@ -300,13 +297,8 @@ impl Emulator {
     /// combined with [`Memory::content_hash`] it summarises a run's final
     /// state for bit-identity comparisons.
     pub fn arch_digest(&self) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let put = |h: &mut u64, v: u64| {
-            for b in v.to_le_bytes() {
-                *h = (*h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let put = |h: &mut u64, v: u64| *h = fnv1a(*h, &v.to_le_bytes());
         for &x in &self.x {
             put(&mut h, x as u64);
         }
@@ -533,16 +525,28 @@ impl Emulator {
             return Ok(true);
         }
         let slice_end = budget.map(|b| cursor.steps.saturating_add(b));
-        if self.cfg.exec == ExecMode::Translated {
-            return self.resume_translated(program, cursor, slice_end);
-        }
         loop {
-            let inst = match self.fetch_decoded(program, cursor, slice_end)? {
-                FrontEnd::SliceExpired => return Ok(false),
-                FrontEnd::Inst(inst) => inst,
+            if cursor.steps >= self.cfg.max_steps {
+                return Err(EmuError::OutOfFuel(self.cfg.max_steps));
+            }
+            if slice_end.is_some_and(|end| cursor.steps >= end) {
+                return Ok(false);
+            }
+            if cursor.steps & 0xF_FFFF == 0 {
+                crate::deadline::check("emulator");
+            }
+            let Some(inst) = program.fetch(cursor.pc) else {
+                return Err(EmuError::PcOutOfRange(cursor.pc));
             };
             if inst == Inst::Halt {
-                self.retire_halt(cursor);
+                cursor.steps += 1;
+                if self.cfg.record_trace {
+                    cursor
+                        .trace
+                        .ops
+                        .push(TraceOp::new(cursor.pc, ExecClass::Simple));
+                }
+                cursor.halted = true;
                 return Ok(true);
             }
             let next = if self.fault_plan.is_some() {
@@ -553,802 +557,6 @@ impl Emulator {
             cursor.steps += 1;
             cursor.pc = next;
         }
-    }
-
-    /// The per-step front-end shared by the interpreter loop and the
-    /// translated executor: fuel and slice gates, periodic deadline poll,
-    /// then fetch. This is the single insertion point where a PC meets its
-    /// instruction — the translation cache hooks in right after it (looking
-    /// up a whole block instead of stepping one instruction) and re-applies
-    /// the same gates at block granularity.
-    fn fetch_decoded(
-        &self,
-        program: &Program,
-        cursor: &RunCursor,
-        slice_end: Option<u64>,
-    ) -> Result<FrontEnd, EmuError> {
-        if self.front_gates(cursor, slice_end)? {
-            return Ok(FrontEnd::SliceExpired);
-        }
-        match program.fetch(cursor.pc) {
-            Some(inst) => Ok(FrontEnd::Inst(inst)),
-            None => Err(EmuError::PcOutOfRange(cursor.pc)),
-        }
-    }
-
-    /// The fuel and slice gates plus the periodic deadline poll, applied
-    /// before every instruction (interpreter) and before every block
-    /// (translated executor, whose span capping makes the gates fire at the
-    /// same step numbers). Returns `true` when the slice expired.
-    #[inline]
-    fn front_gates(&self, cursor: &RunCursor, slice_end: Option<u64>) -> Result<bool, EmuError> {
-        if cursor.steps >= self.cfg.max_steps {
-            return Err(EmuError::OutOfFuel(self.cfg.max_steps));
-        }
-        if slice_end.is_some_and(|end| cursor.steps >= end) {
-            return Ok(true);
-        }
-        if cursor.steps & 0xF_FFFF == 0 {
-            crate::deadline::check("emulator");
-        }
-        Ok(false)
-    }
-
-    /// Retires `halt` at the cursor's PC: one committed step, a trace op if
-    /// recording, and the halted flag.
-    fn retire_halt(&self, cursor: &mut RunCursor) {
-        cursor.steps += 1;
-        if self.cfg.record_trace {
-            cursor
-                .trace
-                .ops
-                .push(TraceOp::new(cursor.pc, ExecClass::Simple));
-        }
-        cursor.halted = true;
-    }
-
-    /// Block-at-a-time executor for [`ExecMode::Translated`]. Bit-identical
-    /// to the interpreter loop: the front-end gates of
-    /// [`fetch_decoded`](Self::fetch_decoded) run before every block, each
-    /// block's straight-line span is capped so the fuel / slice / deadline
-    /// gates fire at exactly the interpreter's step numbers, and tracing or
-    /// fault-injection runs route every instruction through the
-    /// interpreter's own `step` path (the flat fast path only handles the
-    /// untraced, fault-free case).
-    fn resume_translated(
-        &mut self,
-        program: &Program,
-        cursor: &mut RunCursor,
-        slice_end: Option<u64>,
-    ) -> Result<bool, EmuError> {
-        // The cache is moved out of `self` for the duration of the run so
-        // translated blocks can be borrowed across `exec_flat`/`step` calls
-        // without a per-block refcount; nothing inside `step` touches it.
-        let mut cache = std::mem::take(&mut self.cache);
-        cache.ensure_program(program);
-        let r = self.run_blocks(program, cursor, slice_end, &mut cache);
-        self.cache = cache;
-        r
-    }
-
-    /// The translated dispatch loop proper (see
-    /// [`resume_translated`](Self::resume_translated) for the contract).
-    fn run_blocks(
-        &mut self,
-        program: &Program,
-        cursor: &mut RunCursor,
-        slice_end: Option<u64>,
-        cache: &mut TranslationCache,
-    ) -> Result<bool, EmuError> {
-        // Invariant across the whole resume: tracing and fault plans are
-        // per-run configuration, never toggled mid-slice.
-        let fast = !self.cfg.record_trace && self.fault_plan.is_none();
-        loop {
-            if self.front_gates(cursor, slice_end)? {
-                return Ok(false);
-            }
-            let Some(block) = cache.block_at(program, cursor.pc) else {
-                // No straight-line body at this PC: either `halt` (retired
-                // here, exactly as the interpreter loop does) or a PC out
-                // of range.
-                return match program.fetch(cursor.pc) {
-                    Some(Inst::Halt) => {
-                        self.retire_halt(cursor);
-                        Ok(true)
-                    }
-                    _ => Err(EmuError::PcOutOfRange(cursor.pc)),
-                };
-            };
-            // Cap the straight-line span so the next fuel / slice / deadline
-            // gate lands exactly on a loop re-entry, as in the interpreter.
-            let next_poll = (cursor.steps | 0xF_FFFF) + 1;
-            let mut gate = self.cfg.max_steps.min(next_poll);
-            if let Some(end) = slice_end {
-                gate = gate.min(end);
-            }
-            let span = usize::try_from(gate - cursor.steps)
-                .map_or(block.flats.len(), |g| g.min(block.flats.len()));
-            if fast && block.simple_body && span == block.flats.len() {
-                // All-simple body: no op before the last can fail, branch,
-                // or touch a stream, so the body runs with no per-op
-                // dispatch machinery; the final op alone decides the
-                // successor (or errors, uncommitted, as in the
-                // interpreter). A branch back to the block's own start (the
-                // canonical tight loop) stays fused in this closed loop —
-                // `budget` pre-counts how many whole iterations fit before
-                // the next fuel / slice / deadline gate, so gate step
-                // numbers still match the interpreter exactly.
-                let n = block.flats.len();
-                let last_pc = block.start_pc + (n - 1) as u32;
-                let mut budget = (gate - cursor.steps) / n as u64;
-                loop {
-                    for flat in &block.flats[..n - 1] {
-                        self.exec_simple(flat);
-                    }
-                    match self.exec_flat(
-                        &block.flats[n - 1],
-                        &block.insts[n - 1],
-                        last_pc,
-                        &mut cursor.trace,
-                    ) {
-                        Ok(rd) => {
-                            cursor.steps += n as u64;
-                            cursor.pc = rd.unwrap_or(last_pc + 1);
-                            budget -= 1;
-                            if budget == 0 || cursor.pc != block.start_pc {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            cursor.steps += (n - 1) as u64;
-                            cursor.pc = last_pc;
-                            return Err(e);
-                        }
-                    }
-                }
-                continue;
-            }
-            let mut redirect = None;
-            let mut done = 0usize;
-            let ops = block.flats[..span].iter().zip(&block.insts[..span]);
-            for (i, (flat, inst)) in ops.enumerate() {
-                let pc = block.start_pc + i as u32;
-                let r = if fast {
-                    self.exec_flat(flat, inst, pc, &mut cursor.trace)
-                } else if self.fault_plan.is_some() {
-                    self.step_with_recovery(*inst, pc, &mut cursor.trace)
-                        .map(|next| (next != pc + 1).then_some(next))
-                } else {
-                    self.step(*inst, pc, &mut cursor.trace)
-                        .map(|next| (next != pc + 1).then_some(next))
-                };
-                match r {
-                    Ok(rd) => {
-                        done = i + 1;
-                        if rd.is_some() {
-                            redirect = rd;
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        // As in the interpreter: the failing instruction is
-                        // not committed and the cursor points at it.
-                        cursor.steps += i as u64;
-                        cursor.pc = pc;
-                        return Err(e);
-                    }
-                }
-            }
-            cursor.steps += done as u64;
-            cursor.pc = redirect.unwrap_or(block.start_pc + done as u32);
-        }
-    }
-
-    /// Writes integer register `rd` by raw index (`x0` stays zero) — the
-    /// flat-path twin of [`set_x`](Self::set_x).
-    #[inline]
-    fn set_x_idx(&mut self, rd: u8, v: i64) {
-        if rd != 0 {
-            // `& 31` proves the index in range; the decoder/lowerer never
-            // emits a register number >= 32, so it's a no-op semantically
-            // and elides the bounds-check branch on the hot path.
-            self.x[(rd & 31) as usize] = v;
-        }
-    }
-
-    /// True when `r` currently has a stream bound (either direction) — the
-    /// flat fast path re-checks this per vector operand and falls back to
-    /// the interpreter when any operand streams, since stream consumption
-    /// mutates the stream unit and the trace's chunk metadata.
-    #[inline]
-    fn stream_bound(&self, r: VReg) -> bool {
-        self.streams.get(r).is_some()
-    }
-
-    /// Routes one translated op through the interpreter's `step`, mapping
-    /// its next-PC result to the flat executor's redirect convention.
-    fn step_fallback(
-        &mut self,
-        inst: Inst,
-        pc: u32,
-        trace: &mut Trace,
-    ) -> Result<Option<u32>, EmuError> {
-        self.step(inst, pc, trace)
-            .map(|next| (next != pc + 1).then_some(next))
-    }
-
-    /// Executes one pre-resolved flat op. Only reached on untraced,
-    /// fault-free runs; returns `Some(target)` when a taken branch
-    /// redirects control. Architectural effects are bit-identical to
-    /// [`step`](Self::step): lane loops go through the same shared `_ref`
-    /// helpers, arithmetic uses the same expressions, and anything
-    /// involving a bound stream (or an op lowered to [`FlatOp::Fallback`])
-    /// re-routes through `step` itself.
-    #[inline(always)]
-    fn exec_flat(
-        &mut self,
-        flat: &FlatOp,
-        inst: &Inst,
-        pc: u32,
-        trace: &mut Trace,
-    ) -> Result<Option<u32>, EmuError> {
-        if flat.is_simple() {
-            self.exec_simple(flat);
-            return Ok(None);
-        }
-        match *flat {
-            FlatOp::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                let a = self.x[(rs1 & 31) as usize];
-                let b = self.x[(rs2 & 31) as usize];
-                let taken = match cond {
-                    BrCond::Eq => a == b,
-                    BrCond::Ne => a != b,
-                    BrCond::Lt => a < b,
-                    BrCond::Ge => a >= b,
-                    BrCond::Ltu => (a as u64) < (b as u64),
-                    BrCond::Geu => (a as u64) >= (b as u64),
-                };
-                Ok(taken.then_some(target))
-            }
-            FlatOp::Jal { rd, target } => {
-                self.set_x_idx(rd, (pc + 1) as i64);
-                Ok(Some(target))
-            }
-            FlatOp::BrPred { cond, p, target } => {
-                let pv = &self.p[p as usize];
-                let taken = match cond {
-                    PredCond::First => pv.first(),
-                    PredCond::Any => pv.any(crate::value::MAX_LANES),
-                    PredCond::None => !pv.any(crate::value::MAX_LANES),
-                };
-                Ok(taken.then_some(target))
-            }
-            FlatOp::SsBranch { cond, u, target } => {
-                let (flags, at_end) = self.streams.branch_flags(u).ok_or(EmuError::Stream {
-                    pc,
-                    err: StreamError::NotConfigured(u.num()),
-                })?;
-                let taken = match cond {
-                    StreamCond::NotEnd => !at_end,
-                    StreamCond::End => at_end,
-                    StreamCond::DimNotEnd(k) => !flags.ends_dim(k as usize),
-                    StreamCond::DimEnd(k) => flags.ends_dim(k as usize),
-                };
-                Ok(taken.then_some(target))
-            }
-            // Vector ops (and `Fallback`) live in the outlined second half,
-            // keeping this hot function small enough to inline into the
-            // block dispatch loop.
-            _ => self.exec_flat_vec(flat, inst, pc, trace),
-        }
-    }
-
-    /// Executes one *simple* op ([`FlatOp::is_simple`]): scalar-only state,
-    /// infallible, no control transfer. This is the innermost fast path —
-    /// a translated block whose body is all-simple runs these back to back
-    /// with no per-instruction dispatch machinery.
-    #[inline(always)]
-    fn exec_simple(&mut self, flat: &FlatOp) {
-        match *flat {
-            FlatOp::Alu { op, rd, rs1, rs2 } => {
-                let a = self.x[(rs1 & 31) as usize];
-                let b = self.x[(rs2 & 31) as usize];
-                self.set_x_idx(rd, scalar_alu(op, a, b));
-            }
-            FlatOp::AluImm { op, rd, rs1, imm } => {
-                let a = self.x[(rs1 & 31) as usize];
-                self.set_x_idx(rd, scalar_alu(op, a, imm));
-            }
-            FlatOp::Li { rd, imm } => self.set_x_idx(rd, imm),
-            FlatOp::Ld {
-                rd,
-                base,
-                off,
-                width,
-            } => {
-                let addr = (self.x[(base & 31) as usize] + off) as u64;
-                let v = self.mem.read_elem(addr, width);
-                self.set_x_idx(rd, v);
-            }
-            FlatOp::St {
-                src,
-                base,
-                off,
-                width,
-            } => {
-                let addr = (self.x[(base & 31) as usize] + off) as u64;
-                self.mem
-                    .write_elem(addr, width, self.x[(src & 31) as usize]);
-            }
-            FlatOp::Fld {
-                fd,
-                base,
-                off,
-                width,
-            } => {
-                let addr = (self.x[(base & 31) as usize] + off) as u64;
-                self.f[(fd & 31) as usize] = match width {
-                    ElemWidth::Double => self.mem.read_f64(addr),
-                    _ => self.mem.read_f32(addr) as f64,
-                };
-            }
-            FlatOp::Fst {
-                src,
-                base,
-                off,
-                width,
-            } => {
-                let addr = (self.x[(base & 31) as usize] + off) as u64;
-                match width {
-                    ElemWidth::Double => self.mem.write_f64(addr, self.f[(src & 31) as usize]),
-                    _ => self.mem.write_f32(addr, self.f[(src & 31) as usize] as f32),
-                }
-            }
-            FlatOp::FAlu {
-                op,
-                width,
-                fd,
-                fs1,
-                fs2,
-            } => {
-                let a = self.f[(fs1 & 31) as usize];
-                let b = self.f[(fs2 & 31) as usize];
-                self.f[(fd & 31) as usize] = fp_alu(op, a, b, width);
-            }
-            FlatOp::FMac {
-                width,
-                fd,
-                fs1,
-                fs2,
-                fs3,
-            } => {
-                let r = self.f[(fs1 & 31) as usize] * self.f[(fs2 & 31) as usize]
-                    + self.f[(fs3 & 31) as usize];
-                self.f[(fd & 31) as usize] = round_fp(r, width);
-            }
-            FlatOp::FUn { op, width, fd, fs } => {
-                let a = self.f[(fs & 31) as usize];
-                let r = match op {
-                    FpUnOp::Sqrt => a.sqrt(),
-                    FpUnOp::Abs => a.abs(),
-                    FpUnOp::Neg => -a,
-                    FpUnOp::Mv => a,
-                };
-                self.f[(fd & 31) as usize] = round_fp(r, width);
-            }
-            FlatOp::FMvXF { rd, fs } => {
-                let v = self.f[(fs & 31) as usize].to_bits() as i64;
-                self.set_x_idx(rd, v);
-            }
-            FlatOp::FMvFX { fd, rs } => {
-                self.f[(fd & 31) as usize] = f64::from_bits(self.x[(rs & 31) as usize] as u64);
-            }
-            FlatOp::FCvtFX { width, fd, rs } => {
-                self.f[(fd & 31) as usize] = round_fp(self.x[(rs & 31) as usize] as f64, width);
-            }
-            FlatOp::FCvtXF { rd, fs } => {
-                let v = self.f[(fs & 31) as usize] as i64;
-                self.set_x_idx(rd, v);
-            }
-            FlatOp::Nop => {}
-            FlatOp::SsGetVl { rd, width } => {
-                let n = self.lanes(width) as i64;
-                self.set_x_idx(rd, n);
-            }
-            FlatOp::SsSetVl { rd, rs, width } => {
-                let max = self.cfg.vlen_bytes / width.bytes();
-                let req = self.x[(rs & 31) as usize].max(0) as usize;
-                let granted = req.min(max).max(1);
-                self.vl_bytes = granted * width.bytes();
-                self.set_x_idx(rd, granted as i64);
-            }
-            FlatOp::IncVl { rd, width } => {
-                let n = self.lanes(width) as i64;
-                self.set_x_idx(rd, self.x[(rd & 31) as usize] + n);
-            }
-            FlatOp::CntVl { rd, width } => {
-                let n = self.lanes(width) as i64;
-                self.set_x_idx(rd, n);
-            }
-            FlatOp::WhileLt {
-                pd,
-                rs1,
-                rs2,
-                width,
-            } => {
-                let a = self.x[(rs1 & 31) as usize];
-                let b = self.x[(rs2 & 31) as usize];
-                self.p[pd as usize] = whilelt_ref(a, b, self.lanes(width));
-                self.p[0] = PredVal::all_true();
-            }
-            FlatOp::PredAlu { op, pd, ps1, ps2 } => {
-                let a = self.p[ps1 as usize].clone();
-                let b = self.p[ps2 as usize].clone();
-                self.p[pd as usize] = match op {
-                    PredOp::Mov => a,
-                    PredOp::Not => a.not(crate::value::MAX_LANES),
-                    PredOp::And => a.and(&b),
-                    PredOp::Or => a.or(&b),
-                };
-                self.p[0] = PredVal::all_true();
-            }
-            _ => unreachable!("non-simple op dispatched to exec_simple"),
-        }
-    }
-
-    /// The vector half of [`exec_flat`](Self::exec_flat): stream-probing
-    /// vector ops and the interpreter fallback, outlined so the scalar hot
-    /// path stays compact. Any op not matched here routes through `step`,
-    /// which is bit-identical by construction.
-    #[allow(clippy::too_many_lines)]
-    fn exec_flat_vec(
-        &mut self,
-        flat: &FlatOp,
-        inst: &Inst,
-        pc: u32,
-        trace: &mut Trace,
-    ) -> Result<Option<u32>, EmuError> {
-        let vlen = self.cfg.vlen_bytes;
-        match *flat {
-            FlatOp::VDup { vd, src, width, ty } => {
-                if self.stream_bound(vd) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                self.v[vd.index()] = self.dup_value(src, width, ty);
-            }
-            FlatOp::VMv { vd, vs } => {
-                if self.stream_bound(vd) || self.stream_bound(vs) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let val = self.v[vs.index()].clone();
-                self.v[vd.index()] = val;
-            }
-            FlatOp::VUn {
-                op,
-                ty,
-                width,
-                vd,
-                vs,
-                pred,
-            } => {
-                if self.stream_bound(vd) || self.stream_bound(vs) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let out = vun_ref(
-                    op,
-                    ty,
-                    width,
-                    &self.v[vs.index()],
-                    &self.p[pred as usize],
-                    self.lanes(width),
-                    vlen,
-                );
-                self.v[vd.index()] = out;
-            }
-            FlatOp::VArith {
-                op,
-                ty,
-                width,
-                vd,
-                vs1,
-                vs2,
-                pred,
-            } => {
-                if self.stream_bound(vd) || self.stream_bound(vs1) || self.stream_bound(vs2) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let out = lanewise_ref(
-                    op,
-                    ty,
-                    width,
-                    &self.v[vs1.index()],
-                    &self.v[vs2.index()],
-                    &self.p[pred as usize],
-                    self.lanes(width),
-                    vlen,
-                    pc,
-                )?;
-                self.v[vd.index()] = out;
-            }
-            FlatOp::VArithVS {
-                op,
-                ty,
-                width,
-                vd,
-                vs1,
-                scalar,
-                pred,
-            } => {
-                if self.stream_bound(vd) || self.stream_bound(vs1) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let b = self.dup_value(scalar, width, ty);
-                let out = lanewise_ref(
-                    op,
-                    ty,
-                    width,
-                    &self.v[vs1.index()],
-                    &b,
-                    &self.p[pred as usize],
-                    self.lanes(width),
-                    vlen,
-                    pc,
-                )?;
-                self.v[vd.index()] = out;
-            }
-            FlatOp::VMac {
-                ty,
-                width,
-                vd,
-                vs1,
-                vs2,
-                pred,
-            } => {
-                if self.stream_bound(vd) || self.stream_bound(vs1) || self.stream_bound(vs2) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let out = mac_lanes_ref(
-                    &self.p[pred as usize],
-                    &self.v[vd.index()],
-                    &self.v[vs1.index()],
-                    &self.v[vs2.index()],
-                    ty,
-                    width,
-                    vlen,
-                );
-                self.v[vd.index()] = out;
-            }
-            FlatOp::VMacVS {
-                ty,
-                width,
-                vd,
-                vs1,
-                scalar,
-                pred,
-            } => {
-                if self.stream_bound(vd) || self.stream_bound(vs1) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let b = self.dup_value(scalar, width, ty);
-                let out = mac_lanes_ref(
-                    &self.p[pred as usize],
-                    &self.v[vd.index()],
-                    &self.v[vs1.index()],
-                    &b,
-                    ty,
-                    width,
-                    vlen,
-                );
-                self.v[vd.index()] = out;
-            }
-            FlatOp::VRed {
-                op,
-                ty,
-                width,
-                vd,
-                vs,
-                pred,
-            } => {
-                if self.stream_bound(vd) || self.stream_bound(vs) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let out = vred_ref(
-                    op,
-                    ty,
-                    width,
-                    &self.v[vs.index()],
-                    &self.p[pred as usize],
-                    self.lanes(width),
-                    vlen,
-                    pc,
-                )?;
-                self.v[vd.index()] = out;
-            }
-            FlatOp::VCmp {
-                op,
-                ty,
-                width,
-                pd,
-                vs1,
-                vs2,
-            } => {
-                if self.stream_bound(vs1) || self.stream_bound(vs2) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let pv = vcmp_ref(
-                    op,
-                    ty,
-                    width,
-                    &self.v[vs1.index()],
-                    &self.v[vs2.index()],
-                    self.lanes(width),
-                );
-                self.p[pd as usize] = pv;
-            }
-            FlatOp::PredFromValid { pd, vs } => {
-                if self.stream_bound(vs) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                self.p[pd as usize] = pred_from_valid_ref(&self.v[vs.index()]);
-            }
-            FlatOp::VLoad {
-                vd,
-                base,
-                index,
-                width,
-                pred,
-            } => {
-                if self.stream_bound(vd) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let lanes = self.lanes(width);
-                let b = self.x[base as usize] as u64;
-                let idx = self.x[index as usize];
-                let wb = width.bytes() as u64;
-                let mut out = VecVal::empty(vlen, width);
-                {
-                    let pm = &self.p[pred as usize];
-                    for l in 0..lanes {
-                        if pm.get(l) {
-                            let addr = b.wrapping_add(((idx + l as i64) as u64).wrapping_mul(wb));
-                            out.set_int(l, self.mem.read_elem(addr, width));
-                            out.set_lane_valid(l, true);
-                        }
-                    }
-                }
-                self.v[vd.index()] = out;
-            }
-            FlatOp::VStore {
-                vs,
-                base,
-                index,
-                width,
-                pred,
-            } => {
-                if self.stream_bound(vs) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let lanes = self.lanes(width);
-                let b = self.x[base as usize] as u64;
-                let idx = self.x[index as usize];
-                let wb = width.bytes() as u64;
-                let val = aligned(&self.v[vs.index()], width);
-                let pm = &self.p[pred as usize];
-                for l in 0..lanes {
-                    if pm.get(l) && val.lane_valid(l) {
-                        let addr = b.wrapping_add(((idx + l as i64) as u64).wrapping_mul(wb));
-                        self.mem.write_elem(addr, width, val.int(l));
-                    }
-                }
-            }
-            FlatOp::VGather {
-                vd,
-                base,
-                idx,
-                width,
-                pred,
-            } => {
-                if self.stream_bound(vd) || self.stream_bound(idx) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let lanes = self.lanes(width);
-                let b = self.x[base as usize] as u64;
-                let wb = width.bytes() as u64;
-                let mut out = VecVal::empty(vlen, width);
-                {
-                    let iv = aligned(&self.v[idx.index()], width);
-                    let pm = &self.p[pred as usize];
-                    for l in 0..lanes {
-                        if pm.get(l) && iv.lane_valid(l) {
-                            let addr = b.wrapping_add((iv.int(l) as u64).wrapping_mul(wb));
-                            out.set_int(l, self.mem.read_elem(addr, width));
-                            out.set_lane_valid(l, true);
-                        }
-                    }
-                }
-                self.v[vd.index()] = out;
-            }
-            FlatOp::VScatter {
-                vs,
-                base,
-                idx,
-                width,
-                pred,
-            } => {
-                if self.stream_bound(vs) || self.stream_bound(idx) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let lanes = self.lanes(width);
-                let b = self.x[base as usize] as u64;
-                let wb = width.bytes() as u64;
-                let val = aligned(&self.v[vs.index()], width);
-                let iv = aligned(&self.v[idx.index()], width);
-                let pm = &self.p[pred as usize];
-                for l in 0..lanes {
-                    if pm.get(l) && val.lane_valid(l) && iv.lane_valid(l) {
-                        let addr = b.wrapping_add((iv.int(l) as u64).wrapping_mul(wb));
-                        self.mem.write_elem(addr, width, val.int(l));
-                    }
-                }
-            }
-            FlatOp::VLoadPost {
-                vd,
-                base,
-                width,
-                pred,
-            } => {
-                if self.stream_bound(vd) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let lanes = self.lanes(width);
-                let b = self.x[base as usize] as u64;
-                let wb = width.bytes() as u64;
-                let mut out = VecVal::empty(vlen, width);
-                {
-                    let pm = &self.p[pred as usize];
-                    for l in 0..lanes {
-                        if pm.get(l) {
-                            let addr = b + l as u64 * wb;
-                            out.set_int(l, self.mem.read_elem(addr, width));
-                            out.set_lane_valid(l, true);
-                        }
-                    }
-                }
-                self.v[vd.index()] = out;
-                self.set_x_idx(base, (b + vlen as u64) as i64);
-            }
-            FlatOp::VStorePost {
-                vs,
-                base,
-                width,
-                pred,
-            } => {
-                if self.stream_bound(vs) {
-                    return self.step_fallback(*inst, pc, trace);
-                }
-                let lanes = self.lanes(width);
-                let b = self.x[base as usize] as u64;
-                let wb = width.bytes() as u64;
-                {
-                    let val = aligned(&self.v[vs.index()], width);
-                    let pm = &self.p[pred as usize];
-                    for l in 0..lanes {
-                        if pm.get(l) && val.lane_valid(l) {
-                            let addr = b + l as u64 * wb;
-                            self.mem.write_elem(addr, width, val.int(l));
-                        }
-                    }
-                }
-                self.set_x_idx(base, (b + vlen as u64) as i64);
-            }
-            _ => return self.step_fallback(*inst, pc, trace),
-        }
-        Ok(None)
     }
 
     /// Saves the committed iteration state of every active stream — the
@@ -1717,7 +925,7 @@ impl Emulator {
                 pred,
             } => {
                 let a = self.read_v(vs, trace, &mut op, &mut consumed, pc)?;
-                let out = vun_ref(
+                let out = vun(
                     o,
                     ty,
                     width,
@@ -1767,7 +975,7 @@ impl Emulator {
                 let acc = self.read_v(vd, trace, &mut op, &mut consumed, pc)?;
                 let a = self.read_v(vs1, trace, &mut op, &mut consumed, pc)?;
                 let b = self.dup_value(scalar, width, ty);
-                let out = mac_lanes(self, acc, a, b, ty, width, pred, vlen);
+                let out = mac_lanes(&self.p[pred.index()], &acc, &a, &b, ty, width, vlen);
                 self.write_v(vd, out, trace, &mut op, pc)?;
             }
             Inst::VMac {
@@ -1781,7 +989,7 @@ impl Emulator {
                 let acc = self.read_v(vd, trace, &mut op, &mut consumed, pc)?;
                 let a = self.read_v(vs1, trace, &mut op, &mut consumed, pc)?;
                 let b = self.read_v(vs2, trace, &mut op, &mut consumed, pc)?;
-                let out = mac_lanes(self, acc, a, b, ty, width, pred, vlen);
+                let out = mac_lanes(&self.p[pred.index()], &acc, &a, &b, ty, width, vlen);
                 self.write_v(vd, out, trace, &mut op, pc)?;
             }
             Inst::VRed {
@@ -1793,7 +1001,7 @@ impl Emulator {
                 pred,
             } => {
                 let a = self.read_v(vs, trace, &mut op, &mut consumed, pc)?;
-                let out = vred_ref(
+                let out = vred(
                     o,
                     ty,
                     width,
@@ -1815,7 +1023,7 @@ impl Emulator {
             } => {
                 let a = self.read_v(vs1, trace, &mut op, &mut consumed, pc)?;
                 let b = self.read_v(vs2, trace, &mut op, &mut consumed, pc)?;
-                let pv = vcmp_ref(o, ty, width, &a, &b, self.lanes(width));
+                let pv = vcmp(o, ty, width, &a, &b, self.lanes(width));
                 self.p[pd.index()] = pv;
             }
             Inst::PredAlu {
@@ -1837,7 +1045,7 @@ impl Emulator {
             }
             Inst::PredFromValid { pd, vs } => {
                 let a = self.read_v(vs, trace, &mut op, &mut consumed, pc)?;
-                self.p[pd.index()] = pred_from_valid_ref(&a);
+                self.p[pd.index()] = pred_from_valid(&a);
             }
             Inst::BrPred { cond, p, target } => {
                 let pv = &self.p[p.index()];
@@ -1992,7 +1200,7 @@ impl Emulator {
             } => {
                 let a = self.x[rs1.index()];
                 let b = self.x[rs2.index()];
-                self.p[pd.index()] = whilelt_ref(a, b, self.lanes(width));
+                self.p[pd.index()] = whilelt(a, b, self.lanes(width));
                 self.p[0] = PredVal::all_true();
             }
             Inst::IncVl { rd, width } => {
@@ -2079,6 +1287,8 @@ impl Emulator {
         Ok(next)
     }
 
+    /// Predicated lanewise binary op over the active lanes (`VArith`,
+    /// `VArithVS`).
     #[allow(clippy::too_many_arguments)]
     fn lanewise(
         &self,
@@ -2090,17 +1300,28 @@ impl Emulator {
         pred: uve_isa::PReg,
         pc: u32,
     ) -> Result<VecVal, EmuError> {
-        lanewise_ref(
-            o,
-            ty,
-            width,
-            a,
-            b,
-            &self.p[pred.index()],
-            self.lanes(width),
-            self.cfg.vlen_bytes,
-            pc,
-        )
+        let a = aligned(a, width);
+        let b = aligned(b, width);
+        let pm = &self.p[pred.index()];
+        let mut out = VecVal::empty(self.cfg.vlen_bytes, width);
+        for i in 0..self.lanes(width) {
+            if a.lane_valid(i) && b.lane_valid(i) && pm.get(i) {
+                match ty {
+                    VType::Fp => {
+                        let r = fp_vop(o, a.float(i), b.float(i)).ok_or_else(|| {
+                            EmuError::Unsupported {
+                                pc,
+                                what: format!("bitwise vector op {o:?} with an FP type tag"),
+                            }
+                        })?;
+                        out.set_float(i, round_fp(r, width));
+                    }
+                    VType::Int => out.set_int(i, int_vop(o, a.int(i), b.int(i))),
+                }
+                out.set_lane_valid(i, true);
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -2123,44 +1344,8 @@ fn aligned(v: &VecVal, width: ElemWidth) -> Cow<'_, VecVal> {
     }
 }
 
-/// Predicated lanewise binary op — the single implementation behind both
-/// the interpreter's `VArith`/`VArithVS` arms and the flat fast path.
-#[allow(clippy::too_many_arguments)]
-fn lanewise_ref(
-    o: VOp,
-    ty: VType,
-    width: ElemWidth,
-    a: &VecVal,
-    b: &VecVal,
-    pm: &PredVal,
-    lanes: usize,
-    vlen: usize,
-    pc: u32,
-) -> Result<VecVal, EmuError> {
-    let a = aligned(a, width);
-    let b = aligned(b, width);
-    let mut out = VecVal::empty(vlen, width);
-    for i in 0..lanes {
-        if a.lane_valid(i) && b.lane_valid(i) && pm.get(i) {
-            match ty {
-                VType::Fp => {
-                    let r =
-                        fp_vop(o, a.float(i), b.float(i)).ok_or_else(|| EmuError::Unsupported {
-                            pc,
-                            what: format!("bitwise vector op {o:?} with an FP type tag"),
-                        })?;
-                    out.set_float(i, round_fp(r, width));
-                }
-                VType::Int => out.set_int(i, int_vop(o, a.int(i), b.int(i))),
-            }
-            out.set_lane_valid(i, true);
-        }
-    }
-    Ok(out)
-}
-
-/// Predicated lanewise unary op (shared by interpreter and fast path).
-fn vun_ref(
+/// Predicated lanewise unary op.
+fn vun(
     o: VUnOp,
     ty: VType,
     width: ElemWidth,
@@ -2190,9 +1375,9 @@ fn vun_ref(
     out
 }
 
-/// Predicated horizontal reduction (shared by interpreter and fast path).
+/// Predicated horizontal reduction.
 #[allow(clippy::too_many_arguments)]
-fn vred_ref(
+fn vred(
     o: HorizOp,
     ty: VType,
     width: ElemWidth,
@@ -2237,15 +1422,8 @@ fn vred_ref(
     Ok(out)
 }
 
-/// Vector compare into a predicate (shared by interpreter and fast path).
-fn vcmp_ref(
-    o: VCmpOp,
-    ty: VType,
-    width: ElemWidth,
-    a: &VecVal,
-    b: &VecVal,
-    lanes: usize,
-) -> PredVal {
+/// Vector compare into a predicate.
+fn vcmp(o: VCmpOp, ty: VType, width: ElemWidth, a: &VecVal, b: &VecVal, lanes: usize) -> PredVal {
     let a = aligned(a, width);
     let b = aligned(b, width);
     let mut pv = PredVal::all_false();
@@ -2262,7 +1440,7 @@ fn vcmp_ref(
 }
 
 /// `so.p.valid`: predicate from the operand's valid-lane mask.
-fn pred_from_valid_ref(a: &VecVal) -> PredVal {
+fn pred_from_valid(a: &VecVal) -> PredVal {
     let mut pv = PredVal::all_false();
     for i in 0..a.lanes() {
         pv.set(i, a.lane_valid(i));
@@ -2271,7 +1449,7 @@ fn pred_from_valid_ref(a: &VecVal) -> PredVal {
 }
 
 /// `whilelt`: lanes active while `a + lane < b`.
-fn whilelt_ref(a: i64, b: i64, lanes: usize) -> PredVal {
+fn whilelt(a: i64, b: i64, lanes: usize) -> PredVal {
     let mut pv = PredVal::all_false();
     for l in 0..lanes {
         pv.set(l, a + (l as i64) < b);
@@ -2295,24 +1473,10 @@ fn acc_lane_i(acc: &VecVal, i: usize) -> i64 {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Predicated multiply-accumulate over the *hardware* lane count.
+/// Accumulator lanes beyond the operand tail pass through unchanged
+/// (predicated-off behaviour of fmla).
 fn mac_lanes(
-    emu: &Emulator,
-    acc: VecVal,
-    a: VecVal,
-    b: VecVal,
-    ty: VType,
-    width: ElemWidth,
-    pred: uve_isa::PReg,
-    vlen: usize,
-) -> VecVal {
-    mac_lanes_ref(&emu.p[pred.index()], &acc, &a, &b, ty, width, vlen)
-}
-
-/// Predicated multiply-accumulate over the *hardware* lane count (shared by
-/// interpreter and fast path). Accumulator lanes beyond the operand tail
-/// pass through unchanged (predicated-off behaviour of fmla).
-fn mac_lanes_ref(
     pm: &PredVal,
     acc: &VecVal,
     a: &VecVal,
@@ -2507,8 +1671,7 @@ loop:
         // The paper's Fig. 4 saxpy: y = a*x + y over 20 f32 elements
         // (one full vector + padded tail).
         let n = 20usize;
-        let (emu, r) = run_text(
-            "
+        let text = "
     li x10, 20          ; n
     li x11, 0x10000     ; &x
     li x12, 0x20000     ; &y
@@ -2522,15 +1685,15 @@ loop:
     so.a.add.w.fp u2, u4, u1, p0
     so.b.nend u0, loop
     halt
-",
-            |emu| {
-                emu.set_f(uve_isa::FReg::FA0, 2.0);
-                let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
-                let y: Vec<f32> = (0..n).map(|i| (i * 10) as f32).collect();
-                emu.mem.write_f32_slice(0x10000, &x);
-                emu.mem.write_f32_slice(0x20000, &y);
-            },
-        );
+";
+        let setup = |emu: &mut Emulator| {
+            emu.set_f(uve_isa::FReg::FA0, 2.0);
+            let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
+            let y: Vec<f32> = (0..n).map(|i| (i * 10) as f32).collect();
+            emu.mem.write_f32_slice(0x10000, &x);
+            emu.mem.write_f32_slice(0x20000, &y);
+        };
+        let (emu, r) = run_text(text, setup);
         let y = emu.mem.read_f32_slice(0x20000, n);
         for (i, v) in y.iter().enumerate() {
             assert_eq!(*v, 2.0 * i as f32 + (i * 10) as f32, "y[{i}]");
@@ -2539,6 +1702,21 @@ loop:
         assert_eq!(r.trace.streams.len(), 3);
         assert_eq!(r.trace.streams[0].elements(), 20);
         assert_eq!(r.trace.streams[2].elements(), 20);
+
+        // An untraced run drops only the op records: same final state, same
+        // commit count, and the stream chunk metadata is still recorded.
+        let cfg = EmuConfig {
+            record_trace: false,
+            ..EmuConfig::default()
+        };
+        let mut untraced = Emulator::new(cfg, Memory::new());
+        setup(&mut untraced);
+        let u = untraced.run(&assemble("t", text).unwrap()).unwrap();
+        assert_eq!(u.committed, r.committed);
+        assert!(u.trace.ops.is_empty());
+        assert_eq!(u.trace.streams, r.trace.streams);
+        assert_eq!(untraced.arch_digest(), emu.arch_digest());
+        assert_eq!(untraced.mem.content_hash(), emu.mem.content_hash());
     }
 
     #[test]
@@ -2830,168 +2008,6 @@ loop:
         match emu.run(&prog) {
             Err(EmuError::Unsupported { .. }) => {}
             other => panic!("expected Unsupported, got {other:?}"),
-        }
-    }
-
-    fn saxpy_text() -> &'static str {
-        "
-    li x10, 100
-    li x11, 0x10000
-    li x12, 0x20000
-    li x13, 1
-    ss.ld.w u0, x11, x10, x13
-    ss.ld.w u1, x12, x10, x13
-    ss.st.w u2, x12, x10, x13
-    so.v.dup.w.fp u3, f10
-loop:
-    so.a.mul.w.fp u4, u3, u0, p0
-    so.a.add.w.fp u2, u4, u1, p0
-    so.b.nend u0, loop
-    halt
-"
-    }
-
-    fn saxpy_setup(emu: &mut Emulator) {
-        emu.set_f(uve_isa::FReg::FA0, 2.0);
-        let x: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        let y: Vec<f32> = (0..100).map(|i| (i * 3) as f32).collect();
-        emu.mem.write_f32_slice(0x10000, &x);
-        emu.mem.write_f32_slice(0x20000, &y);
-    }
-
-    #[test]
-    fn translated_mode_is_bit_identical_on_saxpy() {
-        let prog = assemble("t", saxpy_text()).unwrap();
-        let mut interp = Emulator::new(EmuConfig::default(), Memory::new());
-        saxpy_setup(&mut interp);
-        let ri = interp.run(&prog).unwrap();
-
-        let cfg = EmuConfig {
-            exec: ExecMode::Translated,
-            ..EmuConfig::default()
-        };
-        let mut trans = Emulator::new(cfg, Memory::new());
-        saxpy_setup(&mut trans);
-        let rt = trans.run(&prog).unwrap();
-
-        assert_eq!(ri.committed, rt.committed);
-        assert_eq!(interp.arch_digest(), trans.arch_digest());
-        assert_eq!(interp.mem.content_hash(), trans.mem.content_hash());
-        assert_eq!(ri.trace.ops, rt.trace.ops);
-        assert_eq!(ri.trace.streams, rt.trace.streams);
-    }
-
-    #[test]
-    fn translated_untraced_matches_interpreter() {
-        let base = EmuConfig {
-            record_trace: false,
-            ..EmuConfig::default()
-        };
-        let prog = assemble("t", saxpy_text()).unwrap();
-        let mut interp = Emulator::new(base, Memory::new());
-        saxpy_setup(&mut interp);
-        let ri = interp.run(&prog).unwrap();
-
-        let mut trans = Emulator::new(
-            EmuConfig {
-                exec: ExecMode::Translated,
-                ..base
-            },
-            Memory::new(),
-        );
-        saxpy_setup(&mut trans);
-        let rt = trans.run(&prog).unwrap();
-
-        assert_eq!(ri.committed, rt.committed);
-        assert_eq!(interp.arch_digest(), trans.arch_digest());
-        assert_eq!(interp.mem.content_hash(), trans.mem.content_hash());
-        // Stream chunk metadata is recorded unconditionally in both modes.
-        assert_eq!(ri.trace.streams, rt.trace.streams);
-    }
-
-    #[test]
-    fn translated_single_step_slices_match_interpreter() {
-        let prog = assemble("t", saxpy_text()).unwrap();
-        let mut interp = Emulator::new(EmuConfig::default(), Memory::new());
-        saxpy_setup(&mut interp);
-        let ri = interp.run(&prog).unwrap();
-
-        let cfg = EmuConfig {
-            exec: ExecMode::Translated,
-            ..EmuConfig::default()
-        };
-        let mut trans = Emulator::new(cfg, Memory::new());
-        saxpy_setup(&mut trans);
-        let mut cursor = RunCursor::new();
-        let mut slices = 0u64;
-        while !trans.resume(&prog, &mut cursor, Some(1)).unwrap() {
-            slices += 1;
-            assert!(slices < 10_000, "runaway");
-        }
-        assert_eq!(cursor.steps(), ri.committed);
-        assert_eq!(interp.arch_digest(), trans.arch_digest());
-        assert_eq!(interp.mem.content_hash(), trans.mem.content_hash());
-        assert_eq!(ri.trace.ops, cursor.trace().ops);
-        assert_eq!(ri.trace.streams, cursor.trace().streams);
-    }
-
-    #[test]
-    fn translated_fault_recovery_matches_interpreter() {
-        let prog = assemble("t", saxpy_text()).unwrap();
-        let mut interp = Emulator::new(EmuConfig::default(), Memory::new());
-        saxpy_setup(&mut interp);
-        interp.set_fault_plan(Some(StreamFaultPlan::new(9, 1)));
-        let ri = interp.run(&prog).unwrap();
-
-        let cfg = EmuConfig {
-            exec: ExecMode::Translated,
-            ..EmuConfig::default()
-        };
-        let mut trans = Emulator::new(cfg, Memory::new());
-        saxpy_setup(&mut trans);
-        trans.set_fault_plan(Some(StreamFaultPlan::new(9, 1)));
-        let rt = trans.run(&prog).unwrap();
-
-        assert!(interp.faults_taken() > 0);
-        assert_eq!(interp.faults_taken(), trans.faults_taken());
-        assert_eq!(ri.trace.ops, rt.trace.ops, "fault stamps must match");
-        assert_eq!(interp.arch_digest(), trans.arch_digest());
-        assert_eq!(interp.mem.content_hash(), trans.mem.content_hash());
-    }
-
-    #[test]
-    fn translated_errors_match_interpreter() {
-        // Out-of-fuel, pc escape and stream misuse must surface at the same
-        // step counts and pcs in both modes.
-        for (text, fuel) in [
-            ("loop: jal x0, loop\nhalt", 1000u64),
-            ("addi x1, x0, 1", 1000),
-            (
-                "
-    li x10, 4
-    li x11, 0x1000
-    li x12, 1
-    ss.st.w u0, x11, x10, x12
-    so.a.add.w.fp u1, u0, u0, p0
-    halt
-",
-                1000,
-            ),
-        ] {
-            let prog = assemble("t", text).unwrap();
-            let mk = |exec| {
-                Emulator::new(
-                    EmuConfig {
-                        max_steps: fuel,
-                        exec,
-                        ..EmuConfig::default()
-                    },
-                    Memory::new(),
-                )
-            };
-            let ei = mk(ExecMode::Interpret).run(&prog).unwrap_err();
-            let et = mk(ExecMode::Translated).run(&prog).unwrap_err();
-            assert_eq!(ei, et, "error divergence on {text:?}");
         }
     }
 

@@ -23,15 +23,11 @@
 //! on-disk caches — fails loudly instead of silently aliasing.
 
 use uve_isa::{encode, Program};
+use uve_mem::{fnv1a_key, FNV_OFFSET};
 
 /// Version tag of the canonical encoding; bump on any layout change so
 /// old persisted caches miss cleanly instead of aliasing.
 const CANON_MAGIC: &[u8; 8] = b"UVEPROG1";
-
-/// FNV-1a offset basis (same constants as `uve-sweep`'s content hashing).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// The canonical, build-independent byte encoding of a program: a
 /// versioned header, the instruction count, then each instruction's
@@ -68,12 +64,7 @@ pub fn canonical_program_bytes(program: &Program) -> Vec<u8> {
 /// machine-stable program identity the sweep service's `job_key` folds
 /// in. Pinned by golden values; see the module docs.
 pub fn program_fingerprint(program: &Program) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in canonical_program_bytes(program) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a_key(FNV_OFFSET, &canonical_program_bytes(program))
 }
 
 #[cfg(test)]

@@ -58,16 +58,19 @@ pub mod engine;
 pub mod fingerprint;
 mod stream_unit;
 mod trace;
-pub mod translate;
 mod value;
 
-pub use emulator::{EmuConfig, EmuError, Emulator, RunCursor, RunResult, StreamFaultPlan};
+pub use emulator::{
+    EmuConfig, EmuError, Emulator, ExecMode, RunCursor, RunResult, StreamFaultPlan,
+};
 pub use fingerprint::{canonical_program_bytes, program_fingerprint};
 pub use stream_unit::{ActiveStream, Consumed, StreamError, StreamUnit};
 pub use trace::{
     BranchOutcome, ChunkMeta, Relocation, StreamInstance, StreamTrace, Trace, TraceOp,
 };
-pub use translate::ExecMode;
 pub use value::{PredVal, Scalar, VecVal, MAX_LANES};
 
 pub use uve_stream::IndirectPacking;
+// The content-key hash, for the sweep service, which builds on this crate
+// rather than on `uve-mem`.
+pub use uve_mem::{fnv1a_key, FNV_OFFSET};

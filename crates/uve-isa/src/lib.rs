@@ -44,7 +44,6 @@
 
 mod asm;
 mod encode;
-pub mod flat;
 mod inst;
 mod program;
 mod reg;
@@ -53,7 +52,6 @@ pub use asm::{
     assemble, assemble_units, disassemble, disassemble_program, AsmError, AsmErrorKind, Span,
 };
 pub use encode::{decode, encode, encode_program, DecodeError, EncodeError};
-pub use flat::{lower, FlatOp};
 pub use inst::{
     AluOp, BrCond, Dir, DupSrc, ExecClass, FpOp, FpUnOp, HorizOp, Inst, MemLevel, PredCond, PredOp,
     RegList, StreamCond, StreamCtl, VCmpOp, VOp, VType, VUnOp,

@@ -38,6 +38,7 @@
 mod cache;
 mod dram;
 mod fault;
+mod fnv;
 mod hierarchy;
 mod memory;
 mod port;
@@ -49,6 +50,7 @@ mod tlb;
 pub use cache::{Access, Cache, CacheStats, MoesiState, LINE_BYTES};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use fault::{FaultConfig, FaultInjector, FaultLevel, FaultStats};
+pub use fnv::{fnv1a, fnv1a_key, FNV_OFFSET, FNV_PRIME, KEY_PRIME};
 pub use hierarchy::{MemConfig, MemStats, MemSystem, Path, ReadOutcome};
 pub use memory::{Memory, PAGE_SIZE};
 pub use port::MemPort;

@@ -1,5 +1,6 @@
 //! Sparse paged functional memory.
 
+use crate::fnv::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use uve_stream::{ElemWidth, StreamMemory};
@@ -313,17 +314,15 @@ impl Memory {
             .filter_map(|(n, p)| Some((n as u64, p.as_ref()?)));
         let mut far: Vec<(u64, &Page)> = self.far.iter().map(|(n, p)| (*n, p)).collect();
         far.sort_by_key(|(n, _)| *n);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
+        let mut h = FNV_OFFSET;
         for (num, data) in direct.chain(far) {
             if data.iter().all(|&b| b == 0) {
                 continue;
             }
+            // The page number goes in as one whole word, not byte by byte.
             h ^= num;
-            h = h.wrapping_mul(0x100_0000_01b3);
-            for &b in data.iter() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
+            h = h.wrapping_mul(FNV_PRIME);
+            h = fnv1a(h, &data[..]);
         }
         h
     }

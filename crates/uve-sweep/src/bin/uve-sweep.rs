@@ -8,9 +8,9 @@
 //!   worker threads so one command is a whole fleet). The result cache is
 //!   durable by default (WAL + snapshots under `uve-sweep-cache/`, or
 //!   `--cache-dir DIR`); `--no-persist` keeps it purely in memory;
-//! - `worker --connect ADDR [--name S] [--exec-mode interpret|translated]
-//!   [--die-after N] [--panic-on KERNEL] [--job-timeout S] [--verbose]` —
-//!   run one worker against a coordinator;
+//! - `worker --connect ADDR [--name S] [--die-after N] [--panic-on KERNEL]
+//!   [--job-timeout S] [--verbose]` — run one worker against a
+//!   coordinator;
 //! - `run --connect ADDR <grid flags> [--expect-cached]` — submit a sweep
 //!   and print the merged rows (stdout carries only the table, so it can
 //!   be diffed against `serial`). Submission rides the reconnecting
@@ -24,14 +24,13 @@
 //!
 //! Grid flags (for `run`/`serial`): `--small`, `--kernels a,b,..`,
 //! `--flavors uve,sve,neon,scalar`, `--levels l1,l2,mem`,
-//! `--packings packed,unpacked`, `--exec-modes interpret,translated`,
-//! `--fault-seeds 0,7,..`, `--cores 1,2,..`, `--vec-prfs 0,96,..`,
+//! `--packings packed,unpacked`, `--fault-seeds 0,7,..`, `--cores 1,2,..`, `--vec-prfs 0,96,..`,
 //! `--fifo-depths 0,16,..`. Unset axes take their defaults.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use uve_bench::{geomean, parse_exec_mode};
+use uve_bench::geomean;
 use uve_core::IndirectPacking;
 use uve_isa::MemLevel;
 use uve_kernels::Flavor;
@@ -119,9 +118,6 @@ fn grid_spec(args: &mut Vec<String>) -> Result<SweepSpec, String> {
     }
     if let Some(v) = take_opt(args, "--packings") {
         spec.packings = parse_list(&v, "packing", parse_packing)?;
-    }
-    if let Some(v) = take_opt(args, "--exec-modes") {
-        spec.execs = parse_list(&v, "exec mode", parse_exec_mode)?;
     }
     if let Some(v) = take_opt(args, "--fault-seeds") {
         spec.fault_seeds = parse_list(&v, "fault seed", |s| s.parse().ok())?;
@@ -241,10 +237,6 @@ fn cmd_worker(mut args: Vec<String>) -> Result<(), String> {
     };
     if let Some(n) = take_opt(&mut args, "--name") {
         opts.name = n;
-    }
-    if let Some(m) = take_opt(&mut args, "--exec-mode") {
-        opts.exec_override =
-            Some(parse_exec_mode(&m).ok_or_else(|| format!("bad --exec-mode: {m:?}"))?);
     }
     if let Some(n) = take_opt(&mut args, "--die-after") {
         opts.die_after = Some(n.parse().map_err(|_| format!("bad --die-after: {n:?}"))?);

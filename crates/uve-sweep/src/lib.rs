@@ -6,8 +6,7 @@
 //! processes over a length-prefixed TCP protocol ([`messages`]), streams
 //! progress back to clients, and memoizes finished rows in a
 //! content-addressed [`ResultCache`] keyed by the full job identity
-//! ([`spec::job_key`]): functional knobs, timing configuration,
-//! [`ExecMode`](uve_core::ExecMode) and
+//! ([`spec::job_key`]): functional knobs, timing configuration and
 //! [`IndirectPacking`](uve_core::IndirectPacking).
 //!
 //! The headline invariant, enforced end-to-end by the `sweep_service`

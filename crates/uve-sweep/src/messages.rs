@@ -28,7 +28,9 @@ use uve_kernels::Flavor;
 /// change so a stale worker fails loudly instead of mis-decoding.
 /// Version 2 added [`Msg::Unavailable`] (retryable coordinator-side
 /// abandon) and [`Msg::Heartbeat`] (worker liveness during long jobs).
-pub const PROTOCOL_VERSION: u32 = 2;
+/// Version 3 dropped the exec-mode axis from [`SweepSpec`], changing the
+/// [`Msg::SweepRequest`] layout.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a frame payload (16 MiB): decoding rejects larger
 /// length prefixes before allocating.
@@ -234,17 +236,18 @@ pub(crate) fn get_packing(r: &mut Reader) -> Result<IndirectPacking, WireError> 
     }
 }
 
+/// Writes [`PointSpec::exec`]: always tag 0, the one execution strategy.
 pub(crate) fn put_exec(w: &mut Writer, e: ExecMode) {
     w.u8(match e {
         ExecMode::Interpret => 0,
-        ExecMode::Translated => 1,
     });
 }
 
+/// Reads [`PointSpec::exec`]. Tag 1, the translated mode of older builds,
+/// is rejected like any unknown tag.
 pub(crate) fn get_exec(r: &mut Reader) -> Result<ExecMode, WireError> {
     match r.u8()? {
         0 => Ok(ExecMode::Interpret),
-        1 => Ok(ExecMode::Translated),
         t => Err(WireError::BadTag(t)),
     }
 }

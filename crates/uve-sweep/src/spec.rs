@@ -1,7 +1,7 @@
 //! Sweep grids, job keys, and the one true job executor.
 //!
 //! A [`SweepSpec`] names a kernel × flavor × stream-level × packing ×
-//! exec-mode × fault-seed × cores × timing-knob grid. [`SweepSpec::points`]
+//! fault-seed × cores × timing-knob grid. [`SweepSpec::points`]
 //! enumerates it in **canonical order** (the order the axes are nested in
 //! the struct), and every transport in the service preserves that order:
 //! the coordinator merges completed jobs back into canonical slots, so
@@ -14,9 +14,8 @@
 //! resolved kernel (the same fingerprint [`TraceKey`] carries, so two
 //! kernels sharing a display name but differing in parameters can never
 //! alias). Everything a job's result depends on — functional knobs
-//! ([`TraceKey`]), the timing configuration, [`ExecMode`], and
-//! [`IndirectPacking`] — is in the key, so a cache hit is always safe to
-//! replay.
+//! ([`TraceKey`]), the timing configuration, and [`IndirectPacking`] — is
+//! in the key, so a cache hit is always safe to replay.
 
 use std::time::Duration;
 
@@ -25,7 +24,7 @@ use crate::messages::{
     Reader, WireError, Writer,
 };
 use uve_bench::{replay, Runner, TraceKey};
-use uve_core::{ExecMode, IndirectPacking};
+use uve_core::{fnv1a_key, ExecMode, IndirectPacking, FNV_OFFSET};
 use uve_cpu::CpuConfig;
 use uve_isa::MemLevel;
 use uve_kernels::{Benchmark, Flavor};
@@ -58,8 +57,6 @@ pub struct SweepSpec {
     pub levels: Vec<MemLevel>,
     /// Indirect-chunking modes (empty = `[Packed]`).
     pub packings: Vec<IndirectPacking>,
-    /// Functional execution strategies (empty = `[Interpret]`).
-    pub execs: Vec<ExecMode>,
     /// Stream page-fault plan seeds; 0 = clean (empty = `[0]`).
     pub fault_seeds: Vec<u64>,
     /// Core counts; 1 = single-core OoO replay, >1 = MOESI-coherent
@@ -88,7 +85,9 @@ pub struct PointSpec {
     pub level: MemLevel,
     /// Indirect-chunking mode.
     pub packing: IndirectPacking,
-    /// Functional execution strategy.
+    /// Functional execution strategy: always [`ExecMode::Interpret`], the
+    /// only one. Kept, and encoded as tag 0, so job keys and durable cache
+    /// rows stay valid; it goes with the next [`MODEL_EPOCH`] bump.
     pub exec: ExecMode,
     /// Stream page-fault plan seed (0 = clean).
     pub fault_seed: u64,
@@ -213,10 +212,6 @@ impl SweepSpec {
         for &p in &self.packings {
             put_packing(w, p);
         }
-        w.u32(self.execs.len() as u32);
-        for &e in &self.execs {
-            put_exec(w, e);
-        }
         put_u64_vec(w, &self.fault_seeds);
         put_u32_vec(w, &self.cores);
         put_u32_vec(w, &self.vec_prfs);
@@ -239,15 +234,12 @@ impl SweepSpec {
         let levels = (0..n).map(|_| get_level(r)).collect::<Result<_, _>>()?;
         let n = r.count(1)?;
         let packings = (0..n).map(|_| get_packing(r)).collect::<Result<_, _>>()?;
-        let n = r.count(1)?;
-        let execs = (0..n).map(|_| get_exec(r)).collect::<Result<_, _>>()?;
         Ok(Self {
             small,
             kernels,
             flavors,
             levels,
             packings,
-            execs,
             fault_seeds: get_u64_vec(r)?,
             cores: get_u32_vec(r)?,
             vec_prfs: get_u32_vec(r)?,
@@ -310,7 +302,6 @@ impl SweepSpec {
             flavors: or(&self.flavors, Flavor::Uve),
             levels: or(&self.levels, MemLevel::L2),
             packings: or(&self.packings, IndirectPacking::Packed),
-            execs: or(&self.execs, ExecMode::Interpret),
             fault_seeds: or(&self.fault_seeds, 0),
             cores: or(&self.cores, 1),
             vec_prfs: or(&self.vec_prfs, 0),
@@ -349,7 +340,6 @@ impl SweepSpec {
             .saturating_mul(self.flavors.len())
             .saturating_mul(self.levels.len())
             .saturating_mul(self.packings.len())
-            .saturating_mul(self.execs.len())
             .saturating_mul(self.fault_seeds.len())
             .saturating_mul(self.cores.len())
             .saturating_mul(self.vec_prfs.len())
@@ -357,7 +347,7 @@ impl SweepSpec {
     }
 
     /// Enumerates the grid in canonical order: kernels outermost, then
-    /// flavors, levels, packings, execs, fault seeds, cores, vec-PRF,
+    /// flavors, levels, packings, fault seeds, cores, vec-PRF,
     /// FIFO depth innermost. Every merge in the service reproduces this
     /// order, whatever order jobs complete in.
     ///
@@ -372,24 +362,22 @@ impl SweepSpec {
             for &flavor in &s.flavors {
                 for &level in &s.levels {
                     for &packing in &s.packings {
-                        for &exec in &s.execs {
-                            for &fault_seed in &s.fault_seeds {
-                                for &cores in &s.cores {
-                                    for &vec_prf in &s.vec_prfs {
-                                        for &fifo_depth in &s.fifo_depths {
-                                            out.push(PointSpec {
-                                                small: s.small,
-                                                kernel: kernel.clone(),
-                                                flavor,
-                                                level,
-                                                packing,
-                                                exec,
-                                                fault_seed,
-                                                cores,
-                                                vec_prf,
-                                                fifo_depth,
-                                            });
-                                        }
+                        for &fault_seed in &s.fault_seeds {
+                            for &cores in &s.cores {
+                                for &vec_prf in &s.vec_prfs {
+                                    for &fifo_depth in &s.fifo_depths {
+                                        out.push(PointSpec {
+                                            small: s.small,
+                                            kernel: kernel.clone(),
+                                            flavor,
+                                            level,
+                                            packing,
+                                            exec: ExecMode::Interpret,
+                                            fault_seed,
+                                            cores,
+                                            vec_prf,
+                                            fifo_depth,
+                                        });
                                     }
                                 }
                             }
@@ -597,28 +585,15 @@ pub fn resolve(name: &str, small: bool) -> Result<Box<dyn Benchmark>, String> {
 /// without a bump fails there.
 pub const MODEL_EPOCH: u64 = 1;
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// FNV-1a over a byte slice, continuing from `h`.
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a over a byte slice from the standard offset basis.
+/// The content-key hash ([`fnv1a_key`]) of a byte slice, from the
+/// standard offset basis.
 pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
+    fnv1a_key(FNV_OFFSET, bytes)
 }
 
 /// The content address of one grid point: everything its result depends
 /// on. Composes the encoded [`PointSpec`] (functional knobs, timing
-/// knobs, exec mode, fault seed, core count) with the resolved kernel's
+/// knobs, fault seed, core count) with the resolved kernel's
 /// program fingerprint from [`TraceKey`] and the [`MODEL_EPOCH`], so
 /// rows of an older model never hit, and renaming-but-reparametrising
 /// a kernel can never alias a stale cache entry. Every ingredient is
@@ -637,15 +612,14 @@ pub fn job_key(point: &PointSpec) -> Result<u64, String> {
         point.flavor,
         point.level,
         point.packing,
-        point.exec,
         point.fault_seed,
     );
     let mut w = Writer::new();
     point.encode(&mut w);
     let mut h = fnv1a_bytes(&w.into_bytes());
-    h = fnv1a(h, &tk.program.to_le_bytes());
-    h = fnv1a(h, &(tk.vlen as u64).to_le_bytes());
-    h = fnv1a(h, &MODEL_EPOCH.to_le_bytes());
+    h = fnv1a_key(h, &tk.program.to_le_bytes());
+    h = fnv1a_key(h, &(tk.vlen as u64).to_le_bytes());
+    h = fnv1a_key(h, &MODEL_EPOCH.to_le_bytes());
     Ok(h)
 }
 
@@ -699,13 +673,13 @@ pub fn run_point(runner: &Runner, point: &PointSpec) -> Result<PointRow, String>
     })?;
     let mut h = FNV_OFFSET;
     for s in &run.per_core {
-        h = fnv1a(h, format!("{s:?}").as_bytes());
+        h = fnv1a_key(h, format!("{s:?}").as_bytes());
     }
     for s in &run.snoop {
-        h = fnv1a(h, format!("{s:?}").as_bytes());
+        h = fnv1a_key(h, format!("{s:?}").as_bytes());
     }
-    h = fnv1a(h, &run.makespan.to_le_bytes());
-    h = fnv1a(h, &run.bus_transactions.to_le_bytes());
+    h = fnv1a_key(h, &run.makespan.to_le_bytes());
+    h = fnv1a_key(h, &run.bus_transactions.to_le_bytes());
     let committed: u64 = run.per_core.iter().map(|s| s.committed).sum();
     let rename_blocked: u64 = run.per_core.iter().map(|s| s.rename_blocked_cycles).sum();
     let bus = run
@@ -991,10 +965,6 @@ mod tests {
         };
         let k0 = job_key(&base).unwrap();
         let variants = [
-            PointSpec {
-                exec: ExecMode::Translated,
-                ..base.clone()
-            },
             PointSpec {
                 fault_seed: 7,
                 ..base.clone()

@@ -30,20 +30,13 @@ use std::time::Duration;
 use crate::messages::{read_msg, write_msg, Msg, PROTOCOL_VERSION};
 use crate::spec::{PointRow, PointRunner, PointSpec, DEFAULT_WORKER_JOB_TIMEOUT};
 use uve_bench::panic_message;
-use uve_core::{deadline, ExecMode};
+use uve_core::deadline;
 
 /// Configuration for one worker process (or in-process worker thread).
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
     /// Name reported in the hello (shows up in coordinator logs).
     pub name: String,
-    /// Replace every job's functional execution strategy at run time.
-    /// Safe by the PR-7 contract — translated execution is bit-identical
-    /// to interpretation — and *only* applied to emulation: the reply
-    /// row still carries the job's own point, so merged outputs are
-    /// unchanged. Lets a fleet run translated for speed while clients
-    /// sweep the default interpreter axis.
-    pub exec_override: Option<ExecMode>,
     /// Hostility: drop the connection (without replying) upon receiving
     /// the N-th job, 1-based. Simulates a worker killed mid-job.
     pub die_after: Option<u64>,
@@ -65,7 +58,6 @@ impl Default for WorkerOptions {
     fn default() -> Self {
         Self {
             name: "worker".to_string(),
-            exec_override: None,
             die_after: None,
             panic_on: None,
             job_timeout: DEFAULT_WORKER_JOB_TIMEOUT,
@@ -76,18 +68,12 @@ impl Default for WorkerOptions {
 }
 
 /// Runs one job under `catch_unwind` + a cooperative deadline, exactly the
-/// isolation the PR-4 pool applies, and restamps the reply row with the
-/// job's own point (undoing any [`WorkerOptions::exec_override`] applied
-/// to the emulation).
+/// isolation the evaluation runner's pool applies.
 fn run_isolated_point(
     runner: &mut PointRunner,
     point: &PointSpec,
     opts: &WorkerOptions,
 ) -> Result<PointRow, String> {
-    let mut exec_point = point.clone();
-    if let Some(exec) = opts.exec_override {
-        exec_point.exec = exec;
-    }
     let caught = catch_unwind(AssertUnwindSafe(|| {
         deadline::arm(Some(opts.job_timeout));
         if let Some(poison) = &opts.panic_on {
@@ -97,19 +83,12 @@ fn run_isolated_point(
                 point.kernel
             );
         }
-        let row = runner.run(&exec_point);
+        let row = runner.run(point);
         deadline::disarm();
         row
     }));
     deadline::disarm();
-    let row = match caught {
-        Ok(inner) => inner?,
-        Err(payload) => return Err(panic_message(payload)),
-    };
-    Ok(PointRow {
-        point: point.clone(),
-        ..row
-    })
+    caught.unwrap_or_else(|payload| Err(panic_message(payload)))
 }
 
 /// Runs one job on a scoped thread while the connection thread streams
@@ -213,8 +192,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SweepSpec;
-    use uve_core::IndirectPacking;
+    use uve_core::{ExecMode, IndirectPacking};
     use uve_isa::MemLevel;
     use uve_kernels::Flavor;
 
@@ -245,22 +223,5 @@ mod tests {
         // Other kernels are unaffected, and the worker runner survives.
         let ok = run_isolated_point(&mut runner, &point("memcpy"), &opts).unwrap();
         assert!(ok.cycles > 0);
-    }
-
-    #[test]
-    fn exec_override_changes_nothing_visible() {
-        let mut runner = PointRunner::default();
-        let p = SweepSpec::small_default().points().unwrap().remove(0);
-        let plain = run_isolated_point(&mut runner, &p, &WorkerOptions::default()).unwrap();
-        let translated = run_isolated_point(
-            &mut runner,
-            &p,
-            &WorkerOptions {
-                exec_override: Some(ExecMode::Translated),
-                ..WorkerOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(plain, translated, "override is invisible in results");
     }
 }

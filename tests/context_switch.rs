@@ -227,8 +227,10 @@ fn resume_budget_cuts_at_non_vlen_multiples_are_invisible() {
     // instruction budgets over a kernel whose streams re-chunk off any
     // VLEN multiple (Jacobi-1d at 53 points: 51 interior elements chunk as
     // 16+16+16+3), doing a full stream-context save/restore round trip at
-    // every pause. The interrupted runs must converge to the solo state.
-    use uve::core::RunCursor;
+    // every pause. The interrupted runs must converge to the solo state,
+    // also when every first-touched stream page faults, so that precise
+    // fault rollback interleaves with the slice cuts.
+    use uve::core::{RunCursor, StreamFaultPlan};
     use uve::kernels::{jacobi::Jacobi1d, Benchmark, Flavor};
 
     let bench = Jacobi1d::new(53, 2);
@@ -239,13 +241,17 @@ fn resume_budget_cuts_at_non_vlen_multiples_are_invisible() {
         solo.emulator.mem.content_hash(),
     );
 
-    for budget in [1u64, 5, 7, 13] {
+    for (budget, faulted) in [1u64, 5, 7, 13]
+        .into_iter()
+        .flat_map(|b| [(b, false), (b, true)])
+    {
         let cfg = EmuConfig {
             vlen_bytes: flavor.vlen_bytes(),
             ..EmuConfig::default()
         };
         let mut emu = Emulator::new(cfg, Memory::new());
         bench.setup(&mut emu);
+        emu.set_fault_plan(faulted.then(|| StreamFaultPlan::new(9, 1)));
         let program = bench.program(flavor);
         let mut cursor = RunCursor::new();
         let mut pauses = 0u64;
@@ -259,15 +265,16 @@ fn resume_budget_cuts_at_non_vlen_multiples_are_invisible() {
             emu.restore_stream_context(&saved);
         }
         assert!(pauses >= 2, "budget {budget}: only {pauses} pauses");
+        assert_eq!(faulted, emu.faults_taken() > 0, "budget {budget}");
         assert_eq!(
             emu.arch_digest(),
             want.0,
-            "budget {budget}: register state differs"
+            "budget {budget}, faulted {faulted}: register state differs"
         );
         assert_eq!(
             emu.mem.content_hash(),
             want.1,
-            "budget {budget}: memory image differs"
+            "budget {budget}, faulted {faulted}: memory image differs"
         );
     }
 }

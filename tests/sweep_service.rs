@@ -12,11 +12,12 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use uve_core::ExecMode;
 use uve_kernels::Flavor;
+use uve_sweep::spec::fnv1a_bytes;
+use uve_sweep::wal::{encode_record, header, SNAP_MAGIC, WAL_MAGIC};
 use uve_sweep::{
-    render_rows, request_sweep, request_sweep_resilient, run_serial, Coordinator,
-    CoordinatorOptions, ReconnectPolicy, SweepOutcome, SweepSpec, WorkerOptions,
+    job_key, render_rows, request_sweep, request_sweep_resilient, run_serial, Coordinator,
+    CoordinatorOptions, PointRow, ReconnectPolicy, SweepOutcome, SweepSpec, WorkerOptions,
 };
 
 /// Spawns `n` healthy in-process workers against `addr`.
@@ -189,62 +190,6 @@ fn worker_death_and_poisoned_job_recover_bit_identically() {
         out.stats
     );
     assert_eq!(coordinator.worker_deaths(), out.stats.worker_deaths);
-
-    coordinator.shutdown();
-    for w in workers {
-        w.join().unwrap();
-    }
-}
-
-#[test]
-fn exec_modes_produce_identical_timing_rows() {
-    let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorOptions::default()).unwrap();
-    let addr = coordinator.local_addr().to_string();
-    let workers = spawn_workers(&addr, 2);
-
-    let base = small_grid(&["saxpy", "memcpy"]);
-    let interp = SweepSpec {
-        execs: vec![ExecMode::Interpret],
-        ..base.clone()
-    };
-    let translated = SweepSpec {
-        execs: vec![ExecMode::Translated],
-        ..base
-    };
-    let out_i = sweep(&addr, &interp);
-    let out_t = sweep(&addr, &translated);
-
-    // The exec axis is part of the job key (the grids are disjoint in
-    // cache terms), but the PR-7 contract makes the *results* identical:
-    // same trace, same replay, same digest — only the point's exec label
-    // differs.
-    assert_eq!(out_i.rows.len(), out_t.rows.len());
-    for (a, b) in out_i.rows.iter().zip(&out_t.rows) {
-        assert_eq!(a.point.kernel, b.point.kernel);
-        assert_eq!(a.point.exec, ExecMode::Interpret);
-        assert_eq!(b.point.exec, ExecMode::Translated);
-        assert_eq!(
-            (
-                a.cycles,
-                a.committed,
-                a.rename_blocked,
-                a.bus_util_bits,
-                a.digest
-            ),
-            (
-                b.cycles,
-                b.committed,
-                b.rename_blocked,
-                b.bus_util_bits,
-                b.digest
-            ),
-            "translated execution changes nothing but the label: {}",
-            a.point.kernel
-        );
-    }
-    // Both directions also hold against the serial baseline.
-    let (serial_t, _) = run_serial(&translated).unwrap();
-    assert_eq!(out_t.rows, serial_t);
 
     coordinator.shutdown();
     for w in workers {
@@ -428,6 +373,78 @@ fn client_reconnects_across_a_coordinator_restart() {
         "pre-restart rows must come from the durable cache: {:?}",
         outcome.stats
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache record as an older build wrote it for a point run in its
+/// translated mode: exec tag 1, framed with a valid checksum, so only the
+/// payload decode can reject it.
+fn exec_tag1_record(key: u64, row: &PointRow) -> Vec<u8> {
+    let framed = encode_record(key, row);
+    let mut payload = framed[4..framed.len() - 8].to_vec();
+    // Job key, small flag, kernel string, then flavor, level and packing.
+    let exec = 8 + 1 + 4 + row.point.kernel.len() + 3;
+    assert_eq!(payload[exec], 0, "exec tag of the current build");
+    payload[exec] = 1;
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&fnv1a_bytes(&payload).to_le_bytes());
+    out
+}
+
+#[test]
+fn rows_tagged_translated_by_older_builds_are_dropped_and_re_executed() {
+    let dir = std::env::temp_dir().join(format!("uve-sweep-exec-tag-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = small_grid(&["saxpy", "memcpy"]);
+    let (serial, _) = run_serial(&spec).unwrap();
+    let keyed: Vec<(u64, &PointRow)> = serial
+        .iter()
+        .map(|r| (job_key(&r.point).unwrap(), r))
+        .collect();
+    // The WAL and the snapshot each hold one current row and one tag-1
+    // row, the latter under a key this sweep asks for: even a colliding
+    // key must not serve it.
+    let image = |magic: &[u8; 8], good: (u64, &PointRow), old: (u64, &PointRow)| {
+        let mut bytes = header(magic).to_vec();
+        bytes.extend(encode_record(good.0, good.1));
+        bytes.extend(exec_tag1_record(old.0, old.1));
+        bytes
+    };
+    std::fs::write(dir.join("wal.bin"), image(WAL_MAGIC, keyed[0], keyed[1])).unwrap();
+    std::fs::write(
+        dir.join("snapshot.bin"),
+        image(SNAP_MAGIC, keyed[2], keyed[3]),
+    )
+    .unwrap();
+
+    let opts = CoordinatorOptions {
+        cache_dir: Some(dir.clone()),
+        ..CoordinatorOptions::default()
+    };
+    let coordinator = Coordinator::bind("127.0.0.1:0", opts).unwrap();
+    let rec = coordinator.recovery().unwrap().clone();
+    assert_eq!(
+        (rec.snapshot_rows, rec.wal_rows, rec.corrupt_records),
+        (1, 1, 2),
+        "{rec:?}"
+    );
+    let addr = coordinator.local_addr().to_string();
+    let workers = spawn_workers(&addr, 1);
+    let out = sweep(&addr, &spec);
+    assert_eq!(out.rows, serial);
+    assert_eq!(
+        (out.stats.cached, out.stats.executed),
+        (2, 2),
+        "the two tag-1 rows re-execute: {:?}",
+        out.stats
+    );
+
+    coordinator.shutdown();
+    for w in workers {
+        w.join().unwrap();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
