@@ -30,6 +30,13 @@ echo "== conformance: fuzz smoke (fixed seed, offline) =="
 # The checked-in regression corpus replays as part of `cargo test` above.
 ./target/release/uve-conform --engine all --seed 7 --cases 2000 --quiet
 
+echo "== timing model: lower-bound conform (fixed seed, offline) =="
+# 2000 dedicated timing-engine cases under random core shapes, single
+# core and sharded: every core's cycles must reach the commit-bandwidth
+# floor and the register critical path (the `all` run above only gives
+# the timing engine a tenth of the budget).
+./target/release/uve-conform --engine timing --seed 7 --cases 2000 --quiet
+
 echo "== fault subsystem: conform smoke + watchdog + poisoned-job isolation =="
 # 2000 dedicated fault-engine cases: never panic, recover bit-identically,
 # keep the cycle accounting conserved under injection (the `all` run above

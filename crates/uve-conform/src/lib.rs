@@ -32,6 +32,10 @@
 //!   checked for the single-writer invariant, per-core/per-program cycle
 //!   conservation, scheduler liveness, run-twice determinism, and
 //!   architecturally invisible context switching;
+//! - [`timing_bounds`] — the out-of-order timing model under random core
+//!   shapes, single-core and sharded: every core's cycle count must reach
+//!   the commit-bandwidth floor and the register critical path, two lower
+//!   bounds that hold for any correct scheduler;
 //! - [`sweep_fuzz`] — the distributed sweep service's pure core: random
 //!   protocol messages round-tripped through the hand-rolled wire codec
 //!   (encode→decode→re-encode fixpoint), truncated and corrupted frames
@@ -54,6 +58,7 @@ pub mod rng;
 pub mod smp_fuzz;
 pub mod stats_diff;
 pub mod sweep_fuzz;
+pub mod timing_bounds;
 
 pub use rng::FuzzRng;
 use uve_bench::{pool, RunMode};
@@ -65,7 +70,7 @@ pub trait Engine {
     type Case: Clone + std::fmt::Debug + Send;
 
     /// Engine name as used by the CLI and the corpus (`pattern`, `isa`,
-    /// `asm`, `kernel`, `stats`, `fault`, `smp`, `sweep`).
+    /// `asm`, `kernel`, `stats`, `fault`, `smp`, `sweep`, `timing`).
     fn name() -> &'static str;
 
     /// Generates the case owned by `rng` (must consume randomness only
@@ -246,6 +251,7 @@ pub fn replay_one(engine: &str, seed: u64, case: u64) -> Result<(), String> {
         "fault" => one::<fault_fuzz::FaultEngine>(seed, case),
         "smp" => one::<smp_fuzz::SmpEngine>(seed, case),
         "sweep" => one::<sweep_fuzz::SweepEngine>(seed, case),
+        "timing" => one::<timing_bounds::TimingEngine>(seed, case),
         other => Err(format!("unknown engine {other:?}")),
     }
 }
@@ -289,7 +295,15 @@ mod tests {
         for (engine, _, _) in &entries {
             assert!(matches!(
                 engine.as_str(),
-                "pattern" | "isa" | "asm" | "kernel" | "stats" | "fault" | "smp" | "sweep"
+                "pattern"
+                    | "isa"
+                    | "asm"
+                    | "kernel"
+                    | "stats"
+                    | "fault"
+                    | "smp"
+                    | "sweep"
+                    | "timing"
             ));
         }
     }

@@ -1,7 +1,7 @@
 //! `uve-conform` — offline differential fuzzer for the UVE reproduction.
 //!
 //! ```text
-//! uve-conform [--engine pattern|isa|asm|kernel|stats|fault|smp|sweep|all] [--seed N]
+//! uve-conform [--engine pattern|isa|asm|kernel|stats|fault|smp|sweep|timing|all] [--seed N]
 //!             [--cases N] [--jobs N | --serial] [--quiet]
 //! ```
 //!
@@ -17,11 +17,11 @@ use uve_bench::{default_jobs, RunMode};
 use uve_conform::{
     asm_fuzz::AsmEngine, fault_fuzz::FaultEngine, isa_fuzz::IsaEngine, kernel_diff::KernelEngine,
     pattern_fuzz::PatternEngine, smp_fuzz::SmpEngine, stats_diff::StatsEngine,
-    sweep_fuzz::SweepEngine,
+    sweep_fuzz::SweepEngine, timing_bounds::TimingEngine,
 };
 
 const USAGE: &str =
-    "usage: uve-conform [--engine pattern|isa|asm|kernel|stats|fault|smp|sweep|all] \
+    "usage: uve-conform [--engine pattern|isa|asm|kernel|stats|fault|smp|sweep|timing|all] \
                      [--seed N] [--cases N] [--jobs N | --serial] [--quiet]";
 
 struct Opts {
@@ -78,9 +78,8 @@ fn parse_args() -> Result<Opts, String> {
         }
     }
     match opts.engine.as_str() {
-        "pattern" | "isa" | "asm" | "kernel" | "stats" | "fault" | "smp" | "sweep" | "all" => {
-            Ok(opts)
-        }
+        "pattern" | "isa" | "asm" | "kernel" | "stats" | "fault" | "smp" | "sweep" | "timing"
+        | "all" => Ok(opts),
         other => Err(format!("unknown engine {other:?}\n{USAGE}")),
     }
 }
@@ -102,6 +101,7 @@ fn main() -> ExitCode {
     let run_fault = matches!(opts.engine.as_str(), "fault" | "all");
     let run_smp = matches!(opts.engine.as_str(), "smp" | "all");
     let run_sweep = matches!(opts.engine.as_str(), "sweep" | "all");
+    let run_timing = matches!(opts.engine.as_str(), "timing" | "all");
 
     let mut failed_engines = 0u8;
     let mut report = |r: uve_conform::EngineReport| {
@@ -178,6 +178,20 @@ fn main() -> ExitCode {
         // they run at the full case budget even under `all`.
         report(uve_conform::run_engine::<SweepEngine>(
             opts.seed, opts.cases, opts.mode,
+        ));
+    }
+
+    if run_timing {
+        // Each timing case replays the kernel twice (warm) or on two
+        // cores, so it gets the stats engine's tenth of the budget under
+        // `all`.
+        let cases = if opts.engine == "all" {
+            (opts.cases / 10).max(1)
+        } else {
+            opts.cases
+        };
+        report(uve_conform::run_engine::<TimingEngine>(
+            opts.seed, cases, opts.mode,
         ));
     }
 

@@ -39,7 +39,9 @@ pub struct StatsCase {
     pub fifo_depth: usize,
 }
 
-fn gen_kernel(rng: &mut FuzzRng) -> KernelCase {
+/// A small kernel instance from the twelve families the timing engines
+/// draw from.
+pub(crate) fn gen_kernel(rng: &mut FuzzRng) -> KernelCase {
     match rng.below(12) {
         0 => KernelCase::Memcpy(rng.range_usize(1, 96)),
         1 => KernelCase::Stream(rng.range_usize(1, 96)),
