@@ -102,9 +102,8 @@ pub struct FaultStats {
     pub injected_page_faults: u64,
 }
 
-/// The seeded injector. Carried by
-/// [`MemSystem`](crate::MemSystem) when
-/// [`MemConfig::fault`](crate::MemConfig) is set.
+/// The seeded injector. Each core of an [`SmpMem`](crate::SmpMem) carries
+/// one when [`MemConfig::fault`](crate::MemConfig) is set.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     cfg: FaultConfig,

@@ -1,14 +1,15 @@
-//! The composed memory hierarchy: L1-D + stride prefetcher, unified L2 +
-//! AMPM prefetcher, DRAM, with the stream request paths of the paper
-//! (L1 / L2 / direct-memory streaming, Sec. IV-A *Cache Access*).
+//! The memory hierarchy's configuration, request paths and result types,
+//! and [`MemSystem`], the single-core view of the one hierarchy model
+//! ([`SmpMem`]): L1-D + stride prefetcher, unified L2 + AMPM prefetcher,
+//! DRAM, with the stream request paths of the paper (L1 / L2 /
+//! direct-memory streaming, Sec. IV-A *Cache Access*).
 
-use crate::cache::{Access, Cache, CacheStats, LINE_BYTES};
-use crate::dram::{Dram, DramConfig, DramStats};
-use crate::fault::{FaultConfig, FaultInjector, FaultLevel, FaultStats};
-use crate::memory::PAGE_SIZE;
-use crate::prefetch::{AmpmPrefetcher, StridePrefetcher};
-use crate::profile::{ReadProfile, ReqClass, ServedBy};
-use crate::smp::SnoopStats;
+use crate::cache::CacheStats;
+use crate::dram::{DramConfig, DramStats};
+use crate::fault::{FaultConfig, FaultStats};
+use crate::port::MemPort;
+use crate::profile::ReadProfile;
+use crate::smp::{SmpMem, SnoopStats};
 use crate::tlb::{Tlb, Translation};
 
 /// Configuration of the memory hierarchy (Table I defaults).
@@ -30,10 +31,9 @@ pub struct MemConfig {
     pub l1_prefetcher: bool,
     /// Stride prefetcher lookahead depth.
     pub stride_depth: usize,
-    /// Enable the L2 AMPM prefetcher.
+    /// Enable the L2 AMPM prefetcher (it issues at most two prefetches per
+    /// access; see `AMPM_DEGREE` in `smp.rs`).
     pub l2_prefetcher: bool,
-    /// AMPM prefetch queue size (Table I: 32).
-    pub ampm_queue: usize,
     /// DRAM configuration.
     pub dram: DramConfig,
     /// TLB entries.
@@ -66,7 +66,6 @@ impl Default for MemConfig {
             l1_prefetcher: true,
             stride_depth: 16,
             l2_prefetcher: true,
-            ampm_queue: 32,
             dram: DramConfig::default(),
             tlb_entries: 48,
             tlb_walk_latency: 20,
@@ -157,7 +156,7 @@ pub struct MemStats {
 /// queueing vs. plain cache latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadOutcome {
-    /// Cycle the data is usable (what [`MemSystem::read`] returns).
+    /// Cycle the data is usable (what [`MemPort::read`] returns).
     pub ready: u64,
     /// Cycles spent waiting for a free L1/L2 MSHR slot.
     pub mshr_wait: u64,
@@ -169,425 +168,91 @@ pub struct ReadOutcome {
     pub from_snoop: bool,
 }
 
-/// The timing model of the memory hierarchy.
+/// The single-core memory hierarchy: a one-core [`SmpMem`] seen through
+/// core 0.
+///
+/// With one core every snoop branch of [`SmpMem`] drops out (there is no
+/// remote L1 to probe, invalidate or forward from), so this is the plain
+/// L1 → L2 → DRAM hierarchy of Table I. All timing lives in [`SmpMem`];
+/// requests go through the [`MemPort`] implementation below.
 ///
 /// Timing is *analytic*: an access mutates cache/prefetcher/DRAM state and
 /// returns the cycle its data is available; there is no global event queue.
 /// Port contention is modelled where it matters for the paper's results —
-/// DRAM channel occupancy and the single L2 access port.
+/// DRAM channel occupancy and the L2 access ports.
 #[derive(Debug, Clone)]
-pub struct MemSystem {
-    cfg: MemConfig,
-    l1: Cache,
-    l2: Cache,
-    dram: Dram,
-    stride: StridePrefetcher,
-    ampm: AmpmPrefetcher,
-    tlb: Tlb,
-    /// Next cycle the (single) L2 port is free.
-    l2_port_free: u64,
-    l1_mshrs: MshrBank,
-    l2_mshrs: MshrBank,
-    reads: u64,
-    writes: u64,
-    profile: ReadProfile,
-    injector: Option<FaultInjector>,
-}
+pub struct MemSystem(SmpMem);
 
 impl MemSystem {
     /// Creates a hierarchy from the configuration.
     pub fn new(cfg: MemConfig) -> Self {
-        Self {
-            l1: Cache::new("L1-D", cfg.l1_size, cfg.l1_ways),
-            l2: Cache::new("L2", cfg.l2_size, cfg.l2_ways),
-            dram: Dram::new(cfg.dram),
-            stride: StridePrefetcher::new(cfg.stride_depth, 64),
-            ampm: AmpmPrefetcher::new(64, cfg.ampm_queue.min(2)),
-            tlb: Tlb::new(cfg.tlb_entries, cfg.tlb_walk_latency),
-            l2_port_free: 0,
-            l1_mshrs: MshrBank::new(cfg.l1_mshrs),
-            l2_mshrs: MshrBank::new(cfg.l2_mshrs),
-            reads: 0,
-            writes: 0,
-            profile: ReadProfile::default(),
-            injector: cfg.fault.clone().map(FaultInjector::new),
-            cfg,
-        }
+        Self(SmpMem::new(cfg, 1))
     }
 
     /// The configuration.
     pub fn config(&self) -> &MemConfig {
-        &self.cfg
+        self.0.config()
     }
 
     /// Access to the TLB (for fault injection and stream translation).
     pub fn tlb_mut(&mut self) -> &mut Tlb {
-        &mut self.tlb
-    }
-
-    /// Translates a virtual address (streams and LSQ both use this). With
-    /// fault injection enabled, a page's first touch may raise an injected
-    /// translation fault (once per page — the handler maps it).
-    pub fn translate(&mut self, vaddr: u64) -> Translation {
-        if let Some(inj) = &mut self.injector {
-            let page = vaddr / PAGE_SIZE;
-            if inj.page_fault_on_first_touch(page) {
-                return Translation::Fault { page };
-            }
-        }
-        self.tlb.translate(vaddr)
-    }
-
-    /// Does the request for `line` transiently fail at retry `attempt`?
-    /// Always `false` without an injector.
-    pub fn fault_transient(&mut self, line: u64, attempt: u32) -> bool {
-        match &mut self.injector {
-            Some(inj) => inj.transient(line, attempt),
-            None => false,
-        }
-    }
-
-    /// Is a response for `line` poisoned at retry `attempt`? The serving
-    /// level is derived from the request path and whether DRAM served it.
-    pub fn fault_poisoned(&mut self, line: u64, attempt: u32, from_dram: bool, path: Path) -> bool {
-        let Some(inj) = &mut self.injector else {
-            return false;
-        };
-        let level = if from_dram {
-            FaultLevel::Dram
-        } else {
-            match path {
-                Path::Normal | Path::StreamL1 => FaultLevel::L1,
-                Path::StreamL2 | Path::StreamMem => FaultLevel::L2,
-            }
-        };
-        inj.poisoned(line, attempt, level)
-    }
-
-    /// Backoff in cycles before retry `attempt` (0 without an injector).
-    pub fn fault_backoff(&self, attempt: u32) -> u64 {
-        self.injector.as_ref().map_or(0, |inj| inj.backoff(attempt))
-    }
-
-    /// Injected-fault counters (zeroes if injection is disabled).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.injector
-            .as_ref()
-            .map_or_else(FaultStats::default, |inj| inj.stats())
-    }
-
-    /// Aggregated statistics.
-    pub fn stats(&self) -> MemStats {
-        MemStats {
-            l1: self.l1.stats(),
-            l2: self.l2.stats(),
-            dram: self.dram.stats(),
-            reads: self.reads,
-            writes: self.writes,
-            tlb_hits: self.tlb.hits(),
-            tlb_misses: self.tlb.misses(),
-            profile: self.profile,
-            snoop: SnoopStats::default(),
-        }
-    }
-
-    /// DRAM bus utilization over `cycles` (Fig. 8.D metric).
-    pub fn bus_utilization(&self, cycles: u64) -> f64 {
-        self.dram.utilization(cycles)
-    }
-
-    fn l2_port(&mut self, now: u64) -> u64 {
-        // `l2_ports` accesses per cycle: the free cursor advances by a
-        // 1/l2_ports fraction, quantized via a sub-cycle counter.
-        let start = (self.l2_port_free / self.cfg.l2_ports as u64).max(now);
-        self.l2_port_free = (start * self.cfg.l2_ports as u64).max(self.l2_port_free) + 1;
-        start
-    }
-
-    /// Reads through the L2 (demand or on behalf of L1 fills); returns the
-    /// data-ready cycle, filling L2 unless `allocate` is false. The AMPM
-    /// prefetcher trains on demand traffic only (`train`): Streaming Engine
-    /// requests carry exact pattern knowledge, and prefetching on top of
-    /// them creates in-flight interception chains that only slow the stream
-    /// down.
-    fn l2_read(&mut self, line: u64, now: u64, allocate: bool, train: bool) -> ReadOutcome {
-        let start = self.l2_port(now);
-        let out = match self.l2.access(line, false, start) {
-            Access::Hit { ready } => ReadOutcome {
-                ready: ready.max(start) + self.cfg.l2_latency,
-                mshr_wait: 0,
-                from_dram: false,
-                from_snoop: false,
-            },
-            Access::Miss => {
-                let (slot, miss_start) = self.l2_mshrs.acquire(start);
-                let ready = self.dram.read(line, miss_start + self.cfg.l2_latency);
-                self.l2_mshrs.release_at(slot, ready);
-                if allocate {
-                    if let Some(victim) = self.l2.fill(line, false, ready) {
-                        // Writebacks are posted from a write buffer at the
-                        // access time; scheduling them at the future fill
-                        // time would block younger reads behind phantom
-                        // channel occupancy.
-                        self.dram.write(victim, start);
-                    }
-                }
-                ReadOutcome {
-                    ready,
-                    mshr_wait: miss_start - start,
-                    from_dram: true,
-                    from_snoop: false,
-                }
-            }
-        };
-        if self.cfg.l2_prefetcher && train {
-            for pf in self.ampm.observe(line) {
-                if !self.l2.probe(pf) {
-                    let pf_ready = self.dram.read(pf, start + self.cfg.l2_latency);
-                    self.profile
-                        .record(ReqClass::Prefetch, ServedBy::Dram, pf_ready - start);
-                    if let Some(victim) = self.l2.fill_prefetch(pf, pf_ready) {
-                        self.dram.write(victim, pf_ready);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// A demand read of the line containing byte address `addr`; like
-    /// [`MemSystem::read`] but additionally reports MSHR waiting time and
-    /// whether DRAM served the request, for stall attribution.
-    pub fn read_explained(&mut self, addr: u64, pc: u64, now: u64, path: Path) -> ReadOutcome {
-        self.reads += 1;
-        let line = addr / LINE_BYTES;
-        let class = if path == Path::Normal {
-            ReqClass::Demand
-        } else {
-            ReqClass::Stream
-        };
-        match path {
-            Path::Normal | Path::StreamL1 => {
-                let out = match self.l1.access(line, false, now) {
-                    Access::Hit { ready } => {
-                        let out = ReadOutcome {
-                            ready: ready.max(now) + self.cfg.l1_latency,
-                            mshr_wait: 0,
-                            from_dram: false,
-                            from_snoop: false,
-                        };
-                        self.profile.record(class, ServedBy::L1, out.ready - now);
-                        out
-                    }
-                    Access::Miss => {
-                        let (slot, start) = self.l1_mshrs.acquire(now);
-                        let inner = self.l2_read(line, start + self.cfg.l1_latency, true, true);
-                        self.l1_mshrs.release_at(slot, inner.ready);
-                        if let Some(victim) = self.l1.fill(line, false, inner.ready) {
-                            // Dirty L1 eviction: write back into L2.
-                            if let Some(v2) = self.l2.fill(victim, true, now) {
-                                self.dram.write(v2, now);
-                            }
-                        }
-                        let served = if inner.from_dram {
-                            ServedBy::Dram
-                        } else {
-                            ServedBy::L2
-                        };
-                        self.profile.record(class, served, inner.ready - now);
-                        ReadOutcome {
-                            ready: inner.ready,
-                            mshr_wait: (start - now) + inner.mshr_wait,
-                            from_dram: inner.from_dram,
-                            from_snoop: false,
-                        }
-                    }
-                };
-                if self.cfg.l1_prefetcher && path == Path::Normal {
-                    let reqs = self.stride.observe(pc, addr);
-                    for pf in reqs {
-                        if !self.l1.probe(pf) {
-                            let (slot, start) = self.l1_mshrs.acquire(now);
-                            let inner = self.l2_read(pf, start + self.cfg.l1_latency, true, true);
-                            self.l1_mshrs.release_at(slot, inner.ready);
-                            let served = if inner.from_dram {
-                                ServedBy::Dram
-                            } else {
-                                ServedBy::L2
-                            };
-                            self.profile
-                                .record(ReqClass::Prefetch, served, inner.ready - now);
-                            if let Some(victim) = self.l1.fill_prefetch(pf, inner.ready) {
-                                if let Some(v2) = self.l2.fill(victim, true, now) {
-                                    self.dram.write(v2, now);
-                                }
-                            }
-                        }
-                    }
-                }
-                out
-            }
-            Path::StreamL2 => {
-                // Non-cacheable at L1: straight to the L2, treated there as
-                // a normal (cacheable) load; does not train the prefetcher.
-                let out = self.l2_read(line, now, true, false);
-                let served = if out.from_dram {
-                    ServedBy::Dram
-                } else {
-                    ServedBy::L2
-                };
-                self.profile.record(class, served, out.ready - now);
-                out
-            }
-            Path::StreamMem => {
-                // Non-cacheable at all levels: direct DRAM read, no fills,
-                // no pollution.
-                let ready = self.dram.read(line, now);
-                self.profile.record(class, ServedBy::Dram, ready - now);
-                ReadOutcome {
-                    ready,
-                    mshr_wait: 0,
-                    from_dram: true,
-                    from_snoop: false,
-                }
-            }
-        }
-    }
-
-    /// A demand read of the line containing byte address `addr`, issued by
-    /// instruction `pc` at cycle `now` along `path`. Returns the cycle the
-    /// data is usable.
-    pub fn read(&mut self, addr: u64, pc: u64, now: u64, path: Path) -> u64 {
-        self.read_explained(addr, pc, now, path).ready
-    }
-
-    /// A demand write of the line containing `addr` (write-allocate at L1
-    /// for `Normal`/`StreamL1`; L2 for `StreamL2`; DRAM for `StreamMem`).
-    /// Returns the cycle the write is accepted.
-    pub fn write(&mut self, addr: u64, _pc: u64, now: u64, path: Path) -> u64 {
-        self.writes += 1;
-        let line = addr / LINE_BYTES;
-        match path {
-            Path::Normal | Path::StreamL1 => {
-                match self.l1.access(line, true, now) {
-                    Access::Hit { ready } => ready.max(now) + 1,
-                    Access::Miss => {
-                        // Write-allocate: fetch the line, then dirty it.
-                        let (slot, start) = self.l1_mshrs.acquire(now);
-                        let inner = self.l2_read(line, start + self.cfg.l1_latency, true, true);
-                        self.l1_mshrs.release_at(slot, inner.ready);
-                        let served = if inner.from_dram {
-                            ServedBy::Dram
-                        } else {
-                            ServedBy::L2
-                        };
-                        self.profile
-                            .record(ReqClass::WriteAlloc, served, inner.ready - now);
-                        if let Some(victim) = self.l1.fill(line, true, inner.ready) {
-                            if let Some(v2) = self.l2.fill(victim, true, now) {
-                                self.dram.write(v2, now);
-                            }
-                        }
-                        inner.ready
-                    }
-                }
-            }
-            Path::StreamL2 => {
-                let start = self.l2_port(now);
-                match self.l2.access(line, true, start) {
-                    Access::Hit { ready } => ready.max(start) + 1,
-                    Access::Miss => {
-                        let (slot, miss_start) = self.l2_mshrs.acquire(start);
-                        let ready = self.dram.read(line, miss_start + self.cfg.l2_latency);
-                        self.profile
-                            .record(ReqClass::WriteAlloc, ServedBy::Dram, ready - now);
-                        self.l2_mshrs.release_at(slot, ready);
-                        if let Some(victim) = self.l2.fill(line, true, ready) {
-                            self.dram.write(victim, start);
-                        }
-                        ready
-                    }
-                }
-            }
-            Path::StreamMem => self.dram.write(line, now),
-        }
-    }
-
-    /// A full-line write: the producer overwrites the entire line, so no
-    /// allocate-read is needed on a miss (the Streaming Engine knows the
-    /// exact store pattern from the descriptor, one of UVE's advantages
-    /// over conventional write-allocate stores). Returns the acceptance
-    /// cycle.
-    pub fn write_full_line(&mut self, addr: u64, _pc: u64, now: u64, path: Path) -> u64 {
-        self.writes += 1;
-        let line = addr / LINE_BYTES;
-        match path {
-            Path::Normal | Path::StreamL1 => match self.l1.access(line, true, now) {
-                Access::Hit { ready } => ready.max(now) + 1,
-                Access::Miss => {
-                    if let Some(victim) = self.l1.fill(line, true, now) {
-                        if let Some(v2) = self.l2.fill(victim, true, now) {
-                            self.dram.write(v2, now);
-                        }
-                    }
-                    now + 1
-                }
-            },
-            Path::StreamL2 => {
-                let start = self.l2_port(now);
-                match self.l2.access(line, true, start) {
-                    Access::Hit { ready } => ready.max(start) + 1,
-                    Access::Miss => {
-                        if let Some(victim) = self.l2.fill(line, true, start) {
-                            self.dram.write(victim, start);
-                        }
-                        start + 1
-                    }
-                }
-            }
-            Path::StreamMem => self.dram.write(line, now),
-        }
-    }
-
-    /// Flushes dirty cached state to DRAM, accounting the write traffic at
-    /// cycle `now`. Call at the end of a run so bus statistics include
-    /// resident dirty lines (stores the kernel produced but never evicted).
-    pub fn drain_dirty(&mut self, _now: u64) {
-        // Timing-model caches do not enumerate dirty lines publicly; traffic
-        // from unevicted dirty lines is intentionally *not* charged, which
-        // matches how a finite measurement window sees a writeback cache.
+        self.0.tlb_mut(0)
     }
 
     /// Resets traffic statistics and time cursors while keeping cache,
-    /// prefetcher and TLB *state* — the warm-measurement hook: replaying a
-    /// trace after a priming run models steady-state behaviour.
+    /// prefetcher and TLB *state* — the warm-measurement hook (see
+    /// [`SmpMem::reset_stats`]).
     pub fn reset_stats(&mut self) {
-        self.dram.reset();
-        self.l1.reset_stats();
-        self.l2.reset_stats();
-        self.tlb.reset_stats();
-        self.l2_port_free = 0;
-        self.l1_mshrs = MshrBank::new(self.cfg.l1_mshrs);
-        self.l2_mshrs = MshrBank::new(self.cfg.l2_mshrs);
-        self.reads = 0;
-        self.writes = 0;
-        self.profile = ReadProfile::default();
-        if let Some(inj) = &mut self.injector {
-            // Counters reset; the handled-page set survives — a page
-            // mapped in the priming pass stays mapped in the warm pass.
-            inj.reset_stats();
-        }
+        self.0.reset_stats();
+    }
+}
+
+impl MemPort for MemSystem {
+    fn translate(&mut self, vaddr: u64) -> Translation {
+        self.0.translate(0, vaddr)
     }
 
-    /// Peak DRAM bandwidth in bytes/cycle.
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
-        self.dram.peak_bytes_per_cycle()
+    fn fault_transient(&mut self, line: u64, attempt: u32) -> bool {
+        self.0.fault_transient(0, line, attempt)
+    }
+
+    fn fault_poisoned(&mut self, line: u64, attempt: u32, from_dram: bool, path: Path) -> bool {
+        self.0.fault_poisoned(0, line, attempt, from_dram, path)
+    }
+
+    fn fault_backoff(&self, attempt: u32) -> u64 {
+        self.0.fault_backoff(0, attempt)
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        self.0.fault_stats(0)
+    }
+
+    fn read_explained(&mut self, addr: u64, pc: u64, now: u64, path: Path) -> ReadOutcome {
+        self.0.read_explained(0, addr, pc, now, path)
+    }
+
+    fn write(&mut self, addr: u64, pc: u64, now: u64, path: Path) -> u64 {
+        self.0.write(0, addr, pc, now, path)
+    }
+
+    fn write_full_line(&mut self, addr: u64, pc: u64, now: u64, path: Path) -> u64 {
+        self.0.write_full_line(0, addr, pc, now, path)
+    }
+
+    fn stats(&self) -> MemStats {
+        self.0.core_stats(0)
+    }
+
+    fn bus_utilization(&self, cycles: u64) -> f64 {
+        self.0.bus_utilization(cycles)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::{ReqClass, ServedBy};
 
     fn no_pf_cfg() -> MemConfig {
         MemConfig {

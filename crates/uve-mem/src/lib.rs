@@ -18,15 +18,18 @@
 //! - [`FaultInjector`]: deterministic seeded fault injection (first-touch
 //!   translation faults, transient request faults, poisoned responses with
 //!   per-level odds and bounded retry), enabled via [`MemConfig::fault`];
-//! - [`MemSystem`]: the composed hierarchy with the paper's stream request
-//!   paths ([`Path::StreamL1`], [`Path::StreamL2`], [`Path::StreamMem`]);
-//! - [`MemPort`]: the access interface shared by the single-core hierarchy
-//!   and one core's view of the multicore hierarchy — the timing core and
-//!   Streaming Engine are generic over it;
-//! - [`SmpMem`]: N private L1-D + TLB + prefetcher slices over one shared
-//!   L2/DRAM, connected by a [`SnoopBus`] that drives the MOESI
-//!   `snoop_share`/`snoop_invalidate` hooks (cross-core invalidations,
-//!   M/O owner forwarding, bus arbitration, per-core [`SnoopStats`]).
+//! - [`SmpMem`]: the composed hierarchy and its only timing code — N
+//!   private L1-D + TLB + prefetcher slices over one shared L2/DRAM, with
+//!   the paper's stream request paths ([`Path::StreamL1`],
+//!   [`Path::StreamL2`], [`Path::StreamMem`]) and a [`SnoopBus`] that drives
+//!   the MOESI `snoop_share`/`snoop_invalidate` hooks (cross-core
+//!   invalidations, M/O owner forwarding, bus arbitration, per-core
+//!   [`SnoopStats`]);
+//! - [`MemSystem`]: the single-core hierarchy, a one-core [`SmpMem`] seen
+//!   through core 0;
+//! - [`MemPort`]: the access interface shared by [`MemSystem`] and one
+//!   core's port into an [`SmpMem`] — the timing core and Streaming Engine
+//!   are generic over it.
 //!
 //! The timing style is analytic: accesses mutate cache/DRAM state and return
 //! a data-ready cycle, modelling the contention that matters for the paper's

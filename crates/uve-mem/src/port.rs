@@ -1,11 +1,12 @@
 //! [`MemPort`]: one agent's access interface to a memory hierarchy.
 //!
 //! The out-of-order core and the Streaming Engine issue every request
-//! through this trait, so the same timing code runs against either the
-//! single-core [`MemSystem`] or one core's port into the shared multicore
-//! hierarchy ([`SmpPort`](crate::SmpPort)). The single-core implementation
-//! delegates to the inherent methods one-for-one, so making the callers
-//! generic changes no timing.
+//! through this trait, so the same pipeline code runs against either the
+//! single-core [`MemSystem`](crate::MemSystem) or one core's port into the
+//! shared multicore hierarchy ([`SmpPort`](crate::SmpPort)). Both
+//! implementations forward to the same [`SmpMem`](crate::SmpMem) methods
+//! (the single-core one to core 0 of a one-core instance), so the memory
+//! timing is one piece of code.
 
 use crate::fault::FaultStats;
 use crate::hierarchy::{MemStats, Path, ReadOutcome};
@@ -14,8 +15,9 @@ use crate::tlb::Translation;
 /// One agent's view of a memory hierarchy: translation, fault-injection
 /// queries, and timed reads/writes along the paper's request paths.
 ///
-/// All methods mirror [`MemSystem`](crate::MemSystem)'s inherent API; see
-/// the documentation there for the timing semantics.
+/// Both implementations in this crate forward each method to
+/// [`SmpMem`](crate::SmpMem) for the agent's core; see the documentation of
+/// its methods for the timing semantics.
 pub trait MemPort {
     /// Translates a virtual address (streams and the LSQ both use this).
     fn translate(&mut self, vaddr: u64) -> Translation;
@@ -55,76 +57,4 @@ pub trait MemPort {
 
     /// DRAM bus utilization over `cycles`.
     fn bus_utilization(&self, cycles: u64) -> f64;
-}
-
-impl MemPort for crate::MemSystem {
-    fn translate(&mut self, vaddr: u64) -> Translation {
-        MemSystem::translate(self, vaddr)
-    }
-
-    fn fault_transient(&mut self, line: u64, attempt: u32) -> bool {
-        MemSystem::fault_transient(self, line, attempt)
-    }
-
-    fn fault_poisoned(&mut self, line: u64, attempt: u32, from_dram: bool, path: Path) -> bool {
-        MemSystem::fault_poisoned(self, line, attempt, from_dram, path)
-    }
-
-    fn fault_backoff(&self, attempt: u32) -> u64 {
-        MemSystem::fault_backoff(self, attempt)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        MemSystem::fault_stats(self)
-    }
-
-    fn read_explained(&mut self, addr: u64, pc: u64, now: u64, path: Path) -> ReadOutcome {
-        MemSystem::read_explained(self, addr, pc, now, path)
-    }
-
-    fn write(&mut self, addr: u64, pc: u64, now: u64, path: Path) -> u64 {
-        MemSystem::write(self, addr, pc, now, path)
-    }
-
-    fn write_full_line(&mut self, addr: u64, pc: u64, now: u64, path: Path) -> u64 {
-        MemSystem::write_full_line(self, addr, pc, now, path)
-    }
-
-    fn stats(&self) -> MemStats {
-        MemSystem::stats(self)
-    }
-
-    fn bus_utilization(&self, cycles: u64) -> f64 {
-        MemSystem::bus_utilization(self, cycles)
-    }
-}
-
-use crate::MemSystem;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The trait delegation must be observationally identical to the
-    /// inherent API (same outcomes, same state evolution).
-    #[test]
-    fn port_matches_inherent_api() {
-        let cfg = crate::MemConfig::default();
-        let mut direct = MemSystem::new(cfg.clone());
-        let mut ported = MemSystem::new(cfg);
-        let port: &mut dyn MemPort = &mut ported;
-        for i in 0..32u64 {
-            let addr = 0x4_0000 + i * 64;
-            assert_eq!(
-                direct.read_explained(addr, 7, i, Path::Normal),
-                port.read_explained(addr, 7, i, Path::Normal)
-            );
-            assert_eq!(
-                direct.write(addr + 0x1000, 8, i, Path::StreamL2),
-                port.write(addr + 0x1000, 8, i, Path::StreamL2)
-            );
-            assert_eq!(direct.translate(addr), port.translate(addr));
-        }
-        assert_eq!(direct.stats(), port.stats());
-    }
 }

@@ -141,8 +141,7 @@ pub struct AmpmPrefetcher {
 
 impl AmpmPrefetcher {
     /// Creates an AMPM prefetcher tracking up to `max_zones` 4 KiB zones and
-    /// issuing at most `degree` prefetches per access (Table I: queue size
-    /// 32).
+    /// issuing at most `degree` prefetches per access.
     pub fn new(max_zones: usize, degree: usize) -> Self {
         Self {
             zone_lines: (4096 / crate::cache::LINE_BYTES) as usize,

@@ -2,7 +2,7 @@
 //! stream-L2, stream-memory, full-line stores) and the contention mechanisms
 //! (MSHRs, DRAM channels, warm re-measurement).
 
-use uve_mem::{DramConfig, MemConfig, MemSystem, Path, Translation};
+use uve_mem::{DramConfig, MemConfig, MemPort, MemSystem, Path, Translation};
 
 fn quiet() -> MemConfig {
     MemConfig {

@@ -98,8 +98,9 @@ pub struct SmpRun {
 /// Runs one trace per core in lockstep over a shared hierarchy.
 ///
 /// Core `c` executes `traces[c]`; all cores advance one cycle per global
-/// step (finished cores idle). With a single trace this is cycle-identical
-/// to `OoOCore::run_with` over a single-core `MemSystem`.
+/// step (finished cores idle). With a single trace the memory model is the
+/// one `OoOCore::run_with` uses (a `MemSystem` is a one-core `SmpMem`), so
+/// only the drivers differ, and the run is cycle-identical to `run_with`.
 ///
 /// # Errors
 ///
