@@ -106,6 +106,19 @@ echo "== functional emulation: suite digest drift gate =="
 ./target/release/emu --quiet --json BENCH_emu.json > /dev/null
 git diff --exit-code -- BENCH_emu.json
 
+echo "== sweep drift gate: 300-row small grid (offline) =="
+# The small catalog (25 kernels) x 4 flavors x {1,2,4} cores, serially:
+# every row's cycles, committed count and stats digest, single-core and
+# lockstep multicore, must match the checked-in table byte for byte. The
+# rows print the execution mode and a digest of the stats' Debug text, so
+# a deliberate change to either (or to the model, with a MODEL_EPOCH bump)
+# regenerates the table with the same command:
+#   ./target/release/uve-sweep serial --small --flavors uve,scalar,sve,neon \
+#       --cores 1,2,4 > crates/uve-sweep/tests/golden/small_sweep.txt
+./target/release/uve-sweep serial --small --flavors uve,scalar,sve,neon \
+    --cores 1,2,4 > target/small_sweep.txt
+diff -u crates/uve-sweep/tests/golden/small_sweep.txt target/small_sweep.txt
+
 echo "== distributed sweeps: coordinator + 2 workers vs serial, warm cache =="
 # A real coordinator process and two real worker processes over loopback
 # TCP, sweeping a small grid twice. Pass 1 must be byte-identical to the

@@ -29,31 +29,11 @@ use uve_smp::{relocate_trace, run_multiprogrammed, run_sharded, MpConfig, SmpRun
 
 /// The 19-kernel evaluation suite, optionally at smoke-test sizes.
 fn suite(small: bool) -> Vec<Box<dyn Benchmark>> {
-    use uve_kernels::*;
-    if !small {
-        return evaluation_suite();
+    if small {
+        uve_kernels::small_evaluation_suite()
+    } else {
+        uve_kernels::evaluation_suite()
     }
-    vec![
-        Box::new(memcpy::Memcpy::new(4096)),
-        Box::new(stream::Stream::new(3072)),
-        Box::new(saxpy::Saxpy::new(4096)),
-        Box::new(gemm::Gemm::new(16, 16, 16)),
-        Box::new(threemm::ThreeMm::new(16)),
-        Box::new(mvt::Mvt::new(48)),
-        Box::new(gemver::Gemver::new(48)),
-        Box::new(trisolv::Trisolv::new(48)),
-        Box::new(jacobi::Jacobi1d::new(1024, 2)),
-        Box::new(jacobi::Jacobi2d::new(24, 2)),
-        Box::new(irsmk::Irsmk::new(1024)),
-        Box::new(haccmk::Haccmk::new(32)),
-        Box::new(knn::Knn::new(128, 8)),
-        Box::new(covariance::Covariance::new(16, 16)),
-        Box::new(mamr::Mamr::full(48)),
-        Box::new(mamr::Mamr::diag(48)),
-        Box::new(mamr::Mamr::indirect(48)),
-        Box::new(seidel::Seidel2d::new(20, 2)),
-        Box::new(floyd::FloydWarshall::new(16)),
-    ]
 }
 
 fn parse_flavor(s: &str) -> Flavor {

@@ -204,6 +204,33 @@ pub fn evaluation_suite() -> Vec<Box<dyn Benchmark>> {
     ]
 }
 
+/// The [`evaluation_suite`] kernels, in the same order, at smoke-test
+/// sizes: the `smp` binary's `--small` suite and the start of the sweep
+/// service's small catalog.
+pub fn small_evaluation_suite() -> Vec<Box<dyn Benchmark>> {
+    vec![
+        Box::new(memcpy::Memcpy::new(4096)),
+        Box::new(stream::Stream::new(3072)),
+        Box::new(saxpy::Saxpy::new(4096)),
+        Box::new(gemm::Gemm::new(16, 16, 16)),
+        Box::new(threemm::ThreeMm::new(16)),
+        Box::new(mvt::Mvt::new(48)),
+        Box::new(gemver::Gemver::new(48)),
+        Box::new(trisolv::Trisolv::new(48)),
+        Box::new(jacobi::Jacobi1d::new(1024, 2)),
+        Box::new(jacobi::Jacobi2d::new(24, 2)),
+        Box::new(irsmk::Irsmk::new(1024)),
+        Box::new(haccmk::Haccmk::new(32)),
+        Box::new(knn::Knn::new(128, 8)),
+        Box::new(covariance::Covariance::new(16, 16)),
+        Box::new(mamr::Mamr::full(48)),
+        Box::new(mamr::Mamr::diag(48)),
+        Box::new(mamr::Mamr::indirect(48)),
+        Box::new(seidel::Seidel2d::new(20, 2)),
+        Box::new(floyd::FloydWarshall::new(16)),
+    ]
+}
+
 /// The DSP/baseband workload family (FIR, ChanEst, FFT-Stage) at its
 /// default evaluation sizes.
 pub fn dsp_suite() -> Vec<Box<dyn Benchmark>> {
@@ -248,6 +275,12 @@ mod tests {
         assert_eq!(eval.len(), 19, "Fig. 8 suite stays pinned at 19 rows");
         assert!(eval.contains(&"SAXPY"));
         assert!(eval.contains(&"Floyd-Warshall"));
+        let small_suite = small_evaluation_suite();
+        assert_eq!(
+            names(&small_suite),
+            eval,
+            "the small suite is the evaluation suite, row for row"
+        );
 
         let dsp = names(&dsp_s);
         for k in ["FIR", "ChanEst", "FFT-Stage"] {

@@ -518,39 +518,25 @@ impl SweepStats {
 /// The kernel catalog a sweep resolves names against: the paper's
 /// 19-kernel evaluation suite plus the DSP and sparse follow-on
 /// families, or the same kernels at smoke-test sizes when `small` (the
-/// `smp` binary's `--small` sizes).
+/// paper's suite then comes from
+/// [`small_evaluation_suite`](uve_kernels::small_evaluation_suite), the
+/// `smp` binary's `--small` suite).
 pub fn catalog(small: bool) -> Vec<Box<dyn Benchmark>> {
     use uve_kernels::*;
     if !small {
         return extended_suite();
     }
-    vec![
-        Box::new(memcpy::Memcpy::new(4096)),
-        Box::new(stream::Stream::new(3072)),
-        Box::new(saxpy::Saxpy::new(4096)),
-        Box::new(gemm::Gemm::new(16, 16, 16)),
-        Box::new(threemm::ThreeMm::new(16)),
-        Box::new(mvt::Mvt::new(48)),
-        Box::new(gemver::Gemver::new(48)),
-        Box::new(trisolv::Trisolv::new(48)),
-        Box::new(jacobi::Jacobi1d::new(1024, 2)),
-        Box::new(jacobi::Jacobi2d::new(24, 2)),
-        Box::new(irsmk::Irsmk::new(1024)),
-        Box::new(haccmk::Haccmk::new(32)),
-        Box::new(knn::Knn::new(128, 8)),
-        Box::new(covariance::Covariance::new(16, 16)),
-        Box::new(mamr::Mamr::full(48)),
-        Box::new(mamr::Mamr::diag(48)),
-        Box::new(mamr::Mamr::indirect(48)),
-        Box::new(seidel::Seidel2d::new(20, 2)),
-        Box::new(floyd::FloydWarshall::new(16)),
+    let families: [Box<dyn Benchmark>; 6] = [
         Box::new(dsp::Fir::new(96, 16)),
         Box::new(dsp::ChanEst::new(128)),
         Box::new(dsp::FftStage::new(128, 2)),
         Box::new(sparse::Spmv::new(24, 48, 20)),
         Box::new(sparse::GatherReduce::new(192, 96)),
         Box::new(sparse::Histogram::new(128, 32)),
-    ]
+    ];
+    let mut cat = small_evaluation_suite();
+    cat.extend(families);
+    cat
 }
 
 /// Resolves a kernel name (case-insensitive) against [`catalog`].
