@@ -42,13 +42,33 @@ echo "== fault subsystem: conform smoke + watchdog + poisoned-job isolation =="
 # keep the cycle accounting conserved under injection (the `all` run above
 # only gives the fault engine a tenth of the budget).
 ./target/release/uve-conform --engine fault --seed 7 --cases 2000 --quiet
+# Each gate below names one test by its full path and fails unless exactly
+# one test ran and passed: a bare `cargo test NAME` passes when nothing
+# matches, so a renamed test would silently drop out of the gate.
+run_one_test() {
+    local pkg=$1 name=$2 out passed
+    out=$(cargo test -q -p "$pkg" --offline --lib "$name" -- --exact 2>&1) || {
+        echo "$out"
+        return 1
+    }
+    passed=$(echo "$out" | awk '/^test result:/ { for (i = 2; i <= NF; i++) if ($i == "passed;") n += $(i - 1) } END { print n + 0 }')
+    if [ "$passed" != 1 ]; then
+        echo "$out"
+        echo "expected exactly one passing test named $pkg::$name, got $passed"
+        return 1
+    fi
+}
 # The no-retire watchdog must turn a deadlocked timing run into a
 # catchable diagnostic dump rather than a hang.
-cargo test -q -p uve-cpu --offline watchdog_dumps_accounting_on_deadlock
-# One poisoned job must not take down a sweep: pool-level catch_unwind
-# isolation and the runner's repro-line reporting.
-cargo test -q -p uve-bench --offline panicking_item_is_isolated
-cargo test -q -p uve-bench --offline poisoned_job_is_isolated_and_reported
+run_one_test uve-cpu core::tests::watchdog_dumps_accounting_on_deadlock
+# One poisoned job must not take down a sweep. `pool::run_isolated` is the
+# one isolation path: the runner's jobs and trace warm-ups go through it,
+# and the sweep worker calls the one-item `pool::isolated` it is built on
+# (deadline + catch_unwind). A failed job's repro line names its whole
+# functional point.
+run_one_test uve-bench pool::tests::panicking_item_is_isolated
+run_one_test uve-bench runner::tests::poisoned_job_is_isolated_and_reported
+run_one_test uve-bench runner::tests::repro_names_the_failed_points_packing_and_fault_seed
 cargo test -q --offline --test fault_recovery
 
 echo "== multicore: coherence smoke + scheduling determinism =="

@@ -8,9 +8,9 @@
 //! is warmed in parallel and the rows are then formatted serially in
 //! suite order.
 
-use uve_bench::{row, Cli, Runner};
-use uve_isa::{ExecClass, MemLevel};
-use uve_kernels::{evaluation_suite, Benchmark, Flavor};
+use uve_bench::{row, Cli, Point, Runner};
+use uve_isa::ExecClass;
+use uve_kernels::{evaluation_suite, Flavor};
 
 fn mix(trace: &uve_core::Trace) -> (f64, f64, f64) {
     let mut mem = 0u64;
@@ -54,9 +54,9 @@ fn main() {
     );
     let runner = Runner::from_cli(&Cli::parse());
     let suite = evaluation_suite();
-    let points: Vec<(&dyn Benchmark, Flavor, MemLevel)> = suite
+    let points: Vec<Point> = suite
         .iter()
-        .flat_map(|b| [Flavor::Uve, Flavor::Scalar].map(|f| (b.as_ref(), f, MemLevel::L2)))
+        .flat_map(|b| [Flavor::Uve, Flavor::Scalar].map(|f| Point::new(b.as_ref(), f)))
         .collect();
     runner.warm_traces(&points);
     let code = runner.finish();
@@ -65,9 +65,8 @@ fn main() {
         // below would panic on it, so stop at the repro report instead.
         std::process::exit(code);
     }
-    for bench in &suite {
-        let uve = runner.trace(bench.as_ref(), Flavor::Uve, MemLevel::L2);
-        let scalar = runner.trace(bench.as_ref(), Flavor::Scalar, MemLevel::L2);
+    for (bench, pair) in suite.iter().zip(points.chunks_exact(2)) {
+        let (uve, scalar) = (runner.trace(&pair[0]), runner.trace(&pair[1]));
         let (umem, ucomp, _) = mix(&uve.trace);
         let (smem, _, _) = mix(&scalar.trace);
         row(

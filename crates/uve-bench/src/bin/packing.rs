@@ -11,7 +11,7 @@
 //!
 //! Usage: `packing [--jobs N | --serial] [--quiet] [--explain]`.
 
-use uve_bench::{geomean, header, row, Cli, Job, Runner};
+use uve_bench::{geomean, header, row, Cli, Job, Point, Runner};
 use uve_core::IndirectPacking;
 use uve_cpu::CpuConfig;
 use uve_kernels::{evaluation_suite, Flavor};
@@ -29,8 +29,11 @@ fn main() {
             [
                 Job::new(bench.as_ref(), Flavor::Uve, cpu.clone()),
                 Job {
-                    packing: IndirectPacking::Unpacked,
-                    ..Job::new(bench.as_ref(), Flavor::Uve, cpu.clone())
+                    point: Point {
+                        packing: IndirectPacking::Unpacked,
+                        ..Point::new(bench.as_ref(), Flavor::Uve)
+                    },
+                    cpu: cpu.clone(),
                 },
                 Job::new(bench.as_ref(), Flavor::Scalar, cpu.clone()),
             ]

@@ -21,9 +21,8 @@
 //! bit-identical tables (the worker pool only reorders wall-clock time,
 //! results are written back by point index).
 
-use uve_bench::{header, row, Cli, Measured, Runner};
+use uve_bench::{header, row, Cli, Measured, Point, Runner};
 use uve_cpu::CpuConfig;
-use uve_isa::MemLevel;
 use uve_kernels::{Benchmark, Flavor};
 use uve_smp::{relocate_trace, run_multiprogrammed, run_sharded, MpConfig, SmpRun};
 
@@ -33,19 +32,6 @@ fn suite(small: bool) -> Vec<Box<dyn Benchmark>> {
         uve_kernels::small_evaluation_suite()
     } else {
         uve_kernels::evaluation_suite()
-    }
-}
-
-fn parse_flavor(s: &str) -> Flavor {
-    match s.to_lowercase().as_str() {
-        "uve" => Flavor::Uve,
-        "sve" => Flavor::Sve,
-        "neon" => Flavor::Neon,
-        "scalar" => Flavor::Scalar,
-        other => {
-            eprintln!("unknown flavor {other:?}: expected uve, sve, neon, or scalar");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -77,7 +63,14 @@ fn main() {
     // through the private L1s, which is where MOESI sharing lives. Stream
     // (UVE) traffic exercises the snoop bus through the L2 owner-probe
     // path instead.
-    let flavor = parse_flavor(cli.value("--flavor").unwrap_or("scalar"));
+    let flavor: Flavor = cli
+        .value("--flavor")
+        .unwrap_or("scalar")
+        .parse()
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     let shared = cli.parsed::<usize>("--shared").unwrap_or(16);
     let quantum = cli.parsed::<u64>("--quantum").unwrap_or(5_000);
     let check_every = cli.parsed::<u64>("--check-every").unwrap_or(0);
@@ -98,9 +91,7 @@ fn main() {
     }
 
     let cpu = CpuConfig::default();
-    let level = MemLevel::L2;
-    let points: Vec<(&dyn Benchmark, Flavor, MemLevel)> =
-        selected.iter().map(|b| (*b, flavor, level)).collect();
+    let points: Vec<Point> = selected.iter().map(|b| Point::new(*b, flavor)).collect();
     runner.warm_traces(&points);
     let code = runner.finish();
     if code != 0 {
@@ -120,7 +111,7 @@ fn main() {
         // One sweep point per kernel; all core counts inside the point so
         // a row is self-contained.
         let runs: Vec<Vec<SmpRun>> = uve_bench::run_indexed(runner.mode(), selected.len(), |i| {
-            let trace = runner.trace(selected[i], flavor, level);
+            let trace = runner.trace(&points[i]);
             cores
                 .iter()
                 .map(|&n| {
@@ -180,10 +171,10 @@ fn main() {
         let mp_runs = uve_bench::run_indexed(runner.mode(), cores.len(), |i| {
             // Each program gets its own address-space slot, as unrelated
             // processes would; only migration and capacity effects remain.
-            let traces: Vec<_> = selected
+            let traces: Vec<_> = points
                 .iter()
                 .enumerate()
-                .map(|(slot, b)| relocate_trace(&runner.trace(*b, flavor, level).trace, slot))
+                .map(|(slot, p)| relocate_trace(&runner.trace(p).trace, slot))
                 .collect();
             let refs: Vec<&uve_core::Trace> = traces.iter().collect();
             let cfg = MpConfig {

@@ -32,19 +32,13 @@ fn main() {
             }
             std::process::exit(2);
         };
-        let flavor = match free.get(1).map(|s| s.to_lowercase()) {
-            None => Flavor::Uve,
-            Some(f) => match f.as_str() {
-                "uve" => Flavor::Uve,
-                "sve" => Flavor::Sve,
-                "neon" => Flavor::Neon,
-                "scalar" => Flavor::Scalar,
-                other => {
-                    eprintln!("unknown flavor {other:?}: expected uve, sve, neon, or scalar");
-                    std::process::exit(2);
-                }
-            },
-        };
+        let flavor = free
+            .get(1)
+            .map_or(Ok(Flavor::Uve), |f| f.parse())
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            });
         let suite = evaluation_suite();
         let Some(bench) = suite.iter().find(|b| b.name().eq_ignore_ascii_case(kernel)) else {
             eprintln!("unknown kernel {kernel:?}; kernels:");

@@ -21,9 +21,8 @@
 
 use std::fmt::Write;
 
-use crate::runner::emulate_trace;
+use crate::runner::Point;
 use uve_cpu::{CpuConfig, EventLog, OoOCore};
-use uve_isa::MemLevel;
 use uve_kernels::{saxpy::Saxpy, Benchmark, Flavor};
 
 /// Escapes a string for a JSON value.
@@ -156,9 +155,9 @@ pub fn chrome_trace_json(name: &str, flavor: Flavor, log: &EventLog) -> String {
 ///
 /// # Panics
 ///
-/// Panics if the kernel mis-executes (via [`emulate_trace`]).
+/// Panics if the kernel mis-executes (via [`Point::emulate`]).
 pub fn trace_kernel(bench: &dyn Benchmark, flavor: Flavor) -> String {
-    let cached = emulate_trace(bench, flavor, MemLevel::L2);
+    let cached = Point::new(bench, flavor).emulate();
     let (_, log) = OoOCore::new(CpuConfig::default()).run_traced(&cached.trace);
     chrome_trace_json(bench.name(), flavor, &log)
 }

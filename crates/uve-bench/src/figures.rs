@@ -4,13 +4,13 @@
 //!
 //! Every generator builds its full job list up front and hands it to the
 //! sharded [`Runner`], which spreads the `(kernel, flavor, config)` points
-//! across cores and reuses one functional trace per
-//! `(kernel, flavor, vlen, stream level)` — the sensitivity sweeps replay
-//! a cached trace under each timing configuration instead of re-emulating.
+//! across cores and reuses one functional trace per [`Point`] — the
+//! sensitivity sweeps replay a cached trace under each timing
+//! configuration instead of re-emulating.
 //! Output is formatted from the returned vector (submission order), so
 //! serial and parallel runs print bit-identical figures.
 
-use crate::runner::{Job, Runner};
+use crate::runner::{Job, Point, Runner};
 use crate::{geomean, header, row, Measured};
 use uve_core::engine::EngineConfig;
 use uve_core::IndirectPacking;
@@ -231,8 +231,11 @@ pub fn fig8_json(path: &str, runner: &Runner) {
     let unpacked_jobs: Vec<Job> = suite
         .iter()
         .map(|bench| Job {
-            packing: IndirectPacking::Unpacked,
-            ..Job::new(bench.as_ref(), Flavor::Uve, cpu.clone())
+            point: Point {
+                packing: IndirectPacking::Unpacked,
+                ..Point::new(bench.as_ref(), Flavor::Uve)
+            },
+            cpu: cpu.clone(),
         })
         .collect();
     let unpacked = runner.run(&unpacked_jobs);
@@ -394,9 +397,12 @@ pub fn fig11(runner: &Runner) {
     let jobs: Vec<Job> = benches
         .iter()
         .flat_map(|bench| {
-            levels.map(|level| Job {
-                stream_level: level,
-                ..Job::new(bench.as_ref(), Flavor::Uve, cpu.clone())
+            levels.map(|stream_level| Job {
+                point: Point {
+                    stream_level,
+                    ..Point::new(bench.as_ref(), Flavor::Uve)
+                },
+                cpu: cpu.clone(),
             })
         })
         .collect();

@@ -27,15 +27,14 @@ pub mod runner;
 
 pub use chrome::{chrome_trace_json, tiny_saxpy_trace, trace_kernel};
 pub use cli::Cli;
-pub use pool::{panic_message, run_indexed, run_isolated};
+pub use pool::{isolated, panic_message, run_indexed, run_isolated};
 pub use report::{ReportRow, StatsReport};
 pub use runner::{
-    default_jobs, emulate_trace_full, replay, CachedTrace, Job, JobFailure, RunMode, Runner,
-    TraceKey, SWEEP_FAULT_RATE,
+    default_jobs, replay, CachedTrace, Job, JobFailure, Point, RunMode, Runner, TraceKey,
+    SWEEP_FAULT_RATE,
 };
 
 use uve_cpu::{CpuConfig, TimingStats};
-use uve_isa::MemLevel;
 use uve_kernels::{Benchmark, Flavor};
 
 /// One measured kernel execution.
@@ -58,28 +57,22 @@ impl Measured {
     }
 }
 
-/// Emulates and times `bench` in `flavor` under `cpu` with streams
-/// defaulting to `level` — the one-shot (uncached) path, built from the
-/// same [`runner::emulate_trace`]/[`runner::replay`] primitives the
-/// parallel [`Runner`] shards, so both paths report identical numbers.
+/// Emulates and times `bench` in `flavor` under `cpu` at [`Point::new`]'s
+/// defaults — the one-shot (uncached) path, built from the same
+/// [`Point::emulate`]/[`replay`] primitives the parallel [`Runner`]
+/// shards, so both paths report identical numbers.
 ///
 /// # Panics
 ///
 /// Panics if the kernel mis-executes or fails its correctness check —
 /// measurement of an incorrect run would be meaningless.
-pub fn measure_with(
-    bench: &dyn Benchmark,
-    flavor: Flavor,
-    cpu: &CpuConfig,
-    level: MemLevel,
-) -> Measured {
-    let cached = runner::emulate_trace(bench, flavor, level);
-    runner::replay(bench.name(), flavor, &cached, cpu)
-}
-
-/// [`measure_with`] at the default L2 stream level.
 pub fn measure(bench: &dyn Benchmark, flavor: Flavor, cpu: &CpuConfig) -> Measured {
-    measure_with(bench, flavor, cpu, MemLevel::L2)
+    replay(
+        bench.name(),
+        flavor,
+        &Point::new(bench, flavor).emulate(),
+        cpu,
+    )
 }
 
 /// Geometric mean of a ratio series (the paper reports average factors).

@@ -10,8 +10,10 @@
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
+use std::time::Duration;
 
 use crate::runner::RunMode;
+use uve_core::deadline;
 
 /// Runs `f(i)` for every `i in 0..n` under `mode` and returns the results
 /// in index order, independent of worker scheduling.
@@ -25,15 +27,20 @@ where
 {
     match mode {
         RunMode::Serial => (0..n).map(f).collect(),
-        RunMode::Parallel(_) => {
+        RunMode::Parallel(workers) => {
             let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
             let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n).collect());
+            let pop = || queue.lock().expect("job queue poisoned").pop_front();
             let worker = || {
-                while let Some(i) = pop(&queue) {
+                while let Some(i) = pop() {
                     *results[i].lock().expect("result slot poisoned") = Some(f(i));
                 }
             };
-            pooled(mode, n, &worker);
+            std::thread::scope(|s| {
+                for _ in 0..workers.min(n) {
+                    s.spawn(worker);
+                }
+            });
             results
                 .into_iter()
                 .map(|slot| {
@@ -46,18 +53,33 @@ where
     }
 }
 
-/// Like [`run_indexed`], but each item runs under `catch_unwind`: a
-/// panicking item yields `Err(message)` in its slot while every other item
-/// still completes. This is the crash-isolation primitive the sweep harness
-/// builds on — one poisoned job must not take down the whole figure.
-pub fn run_isolated<T, F>(mode: RunMode, n: usize, f: F) -> Vec<Result<T, String>>
+/// Like [`run_indexed`], but each item runs [`isolated`] under `timeout`:
+/// a panicking or timed-out item yields `Err(message)` in its slot while
+/// every other item still completes. This is the one crash-isolation path
+/// of the sweep harness — one poisoned job must not take down the whole
+/// figure.
+pub fn run_isolated<T, F>(
+    mode: RunMode,
+    n: usize,
+    timeout: Option<Duration>,
+    f: F,
+) -> Vec<Result<T, String>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed(mode, n, |i| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))).map_err(panic_message)
-    })
+    run_indexed(mode, n, |i| isolated(timeout, || f(i)))
+}
+
+/// Runs `f` on this thread under a cooperative deadline of `timeout`
+/// ([`uve_core::deadline`]) and `catch_unwind`; a panic, including an
+/// expired deadline, comes back as `Err(message)`. The deadline is
+/// disarmed on return either way.
+pub fn isolated<T>(timeout: Option<Duration>, f: impl FnOnce() -> T) -> Result<T, String> {
+    deadline::arm(timeout);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    deadline::disarm();
+    outcome.map_err(panic_message)
 }
 
 /// Renders a caught panic payload as a human-readable message.
@@ -69,29 +91,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "panic with a non-string payload".to_string()
     }
-}
-
-/// Runs `worker` closures: inline when serial, else on a scoped pool of
-/// `min(workers, work_items)` threads. Each worker is expected to drain a
-/// shared queue (see [`pop`]).
-pub fn pooled(mode: RunMode, work_items: usize, worker: &(dyn Fn() + Sync)) {
-    match mode {
-        RunMode::Serial => worker(),
-        RunMode::Parallel(n) => {
-            let threads = n.min(work_items.max(1));
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(worker);
-                }
-            });
-        }
-    }
-}
-
-/// Pops the next work index off a shared queue (the pool's dispatch
-/// primitive).
-pub fn pop(queue: &Mutex<VecDeque<usize>>) -> Option<usize> {
-    queue.lock().expect("job queue poisoned").pop_front()
 }
 
 #[cfg(test)]
@@ -110,7 +109,7 @@ mod tests {
     #[test]
     fn panicking_item_is_isolated() {
         for mode in [RunMode::Serial, RunMode::Parallel(4)] {
-            let out = run_isolated(mode, 8, |i| {
+            let out = run_isolated(mode, 8, None, |i| {
                 assert!(i != 3, "boom on {i}");
                 i * 10
             });

@@ -4,18 +4,19 @@
 //! dynamic [`Trace`]) from *timing* replay (the out-of-order model), the
 //! same access/execute split the architecture itself makes. Only the
 //! timing side depends on the CPU configuration, so the sensitivity sweeps
-//! (Figs. 9–11, Sec. VI-B) need exactly one emulation per
-//! `(kernel, flavor, vlen, stream level)` point, replayed under N timing
-//! configurations — not N re-emulations.
+//! (Figs. 9–11, Sec. VI-B) need exactly one emulation per functional
+//! [`Point`], replayed under N timing configurations — not N
+//! re-emulations.
 //!
 //! Two mechanisms deliver that:
 //!
 //! - a [`TraceKey`]-indexed cache of emulated traces, with per-key
 //!   once-initialization so concurrent workers never emulate the same
 //!   point twice (an emulation counter makes this assertable);
-//! - a std-only scoped worker pool ([`std::thread::scope`]) pulling
-//!   [`Job`]s from a shared `Mutex<VecDeque<_>>`, one worker per core by
-//!   default ([`std::thread::available_parallelism`]).
+//! - the std-only scoped worker pool of [`crate::pool`], whose
+//!   [`run_isolated`] runs every job under panic isolation and a
+//!   cooperative deadline, one worker per core by default
+//!   ([`std::thread::available_parallelism`]).
 //!
 //! Determinism: traces are plain data (`Trace: Send + Sync`), emulation is
 //! deterministic, and [`OoOCore::run_warm`] builds all mutable state
@@ -24,12 +25,12 @@
 //! submission index, so a parallel run returns the *same* `Vec<Measured>`,
 //! in the same order with bit-identical numbers, as `--serial`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::pool::{panic_message, pop};
+use crate::pool::run_isolated;
 use crate::Measured;
 use uve_core::{EmuConfig, ExecMode, IndirectPacking, StreamFaultPlan, Trace};
 use uve_cpu::{CpuConfig, OoOCore};
@@ -37,23 +38,23 @@ use uve_isa::MemLevel;
 use uve_kernels::{Benchmark, Flavor};
 use uve_mem::Memory;
 
-/// Page-fault injection rate used when a job carries a nonzero
+/// Page-fault injection rate used when a point carries a nonzero
 /// `fault_seed`: roughly one in this many first-touched stream pages
 /// faults (see [`StreamFaultPlan`]).
 pub const SWEEP_FAULT_RATE: u64 = 3;
 
-/// One unit of evaluation work: emulate (or fetch the cached trace of)
-/// `bench` in `flavor` at `stream_level`, then replay it under `cpu`.
-pub struct Job<'a> {
-    /// The kernel to measure.
+/// One functional evaluation point: everything emulation depends on, and
+/// nothing the timing replay adds. Every timing configuration of a point
+/// replays the one trace [`Point::emulate`] produces.
+#[derive(Clone, Copy)]
+pub struct Point<'a> {
+    /// The kernel.
     pub bench: &'a dyn Benchmark,
     /// Code flavour (fixes the vector length).
     pub flavor: Flavor,
-    /// Timing-model configuration for the replay.
-    pub cpu: CpuConfig,
-    /// Memory level streams default to (affects the functional trace).
+    /// Memory level streams default to.
     pub stream_level: MemLevel,
-    /// Indirect-stream chunking mode (affects the functional trace).
+    /// Indirect-stream chunking mode.
     pub packing: IndirectPacking,
     /// Stream page-fault plan seed (0 disables injection; a nonzero seed
     /// faults ~1/[`SWEEP_FAULT_RATE`] first-touched pages and recovers
@@ -61,33 +62,99 @@ pub struct Job<'a> {
     pub fault_seed: u64,
 }
 
-impl<'a> Job<'a> {
-    /// A job at the paper's default L2 stream level, packed indirect
+impl<'a> Point<'a> {
+    /// The point at the paper's default L2 stream level, packed indirect
     /// chunking, and no fault injection.
-    pub fn new(bench: &'a dyn Benchmark, flavor: Flavor, cpu: CpuConfig) -> Self {
+    pub fn new(bench: &'a dyn Benchmark, flavor: Flavor) -> Self {
         Self {
             bench,
             flavor,
-            cpu,
             stream_level: MemLevel::L2,
             packing: IndirectPacking::default(),
             fault_seed: 0,
         }
     }
 
-    /// The trace-cache key this job resolves to.
+    /// The trace-cache key of this point. This is the trace half of the
+    /// content address the distributed sweep cache (`uve-sweep`) keys
+    /// results by.
+    ///
+    /// The program fingerprint is [`uve_core::program_fingerprint`] —
+    /// FNV-1a over the canonical instruction-word encoding — so it is
+    /// stable across builds and machines, which is what lets the sweep
+    /// service persist its result cache to disk and reload it after a
+    /// restart (or a rebuild). Golden values are pinned in
+    /// `tests/fingerprint_golden.rs`.
     pub fn key(&self) -> TraceKey {
-        TraceKey::of_full(
-            self.bench,
-            self.flavor,
-            self.stream_level,
-            self.packing,
-            self.fault_seed,
-        )
+        TraceKey {
+            kernel: self.bench.name(),
+            flavor: self.flavor,
+            vlen: self.flavor.vlen_bytes(),
+            stream_level: self.stream_level,
+            packing: self.packing,
+            fault_seed: self.fault_seed,
+            program: uve_core::program_fingerprint(&self.bench.program(self.flavor)),
+        }
+    }
+
+    /// Emulates this point and verifies the result against the kernel's
+    /// oracle — the one emulate-and-check entry of the harness.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel mis-executes or fails its correctness check —
+    /// measurement of an incorrect run would be meaningless.
+    pub fn emulate(&self) -> CachedTrace {
+        let (bench, flavor) = (self.bench, self.flavor);
+        let emu_cfg = EmuConfig {
+            vlen_bytes: flavor.vlen_bytes(),
+            stream_level: self.stream_level,
+            packing: self.packing,
+            ..EmuConfig::default()
+        };
+        let mut emu = uve_core::Emulator::new(emu_cfg, Memory::new());
+        if self.fault_seed != 0 {
+            emu.set_fault_plan(Some(StreamFaultPlan::new(
+                self.fault_seed,
+                SWEEP_FAULT_RATE,
+            )));
+        }
+        bench.setup(&mut emu);
+        let program = bench.program(flavor);
+        let result = emu
+            .run(&program)
+            .unwrap_or_else(|e| panic!("{}/{flavor}: {e}", bench.name()));
+        bench
+            .check(&emu)
+            .unwrap_or_else(|e| panic!("{}/{flavor}: {e}", bench.name()));
+        CachedTrace {
+            trace: result.trace,
+            committed: result.committed,
+        }
     }
 }
 
-/// Cache key of a functional trace: everything emulation depends on.
+/// One unit of evaluation work: emulate (or fetch the cached trace of)
+/// `point`, then replay it under `cpu`.
+pub struct Job<'a> {
+    /// The functional point.
+    pub point: Point<'a>,
+    /// Timing-model configuration for the replay.
+    pub cpu: CpuConfig,
+}
+
+impl<'a> Job<'a> {
+    /// A job at [`Point::new`]'s defaults.
+    pub fn new(bench: &'a dyn Benchmark, flavor: Flavor, cpu: CpuConfig) -> Self {
+        Self {
+            point: Point::new(bench, flavor),
+            cpu,
+        }
+    }
+}
+
+/// Cache key of a functional trace: a [`Point`] with the kernel reduced to
+/// its name and program fingerprint ([`Point::key`]).
 ///
 /// The program fingerprint covers kernel parameters (sizes, unroll
 /// factors) that `name()` alone does not distinguish — e.g. the Fig. 8.E
@@ -110,36 +177,6 @@ pub struct TraceKey {
     pub program: u64,
 }
 
-impl TraceKey {
-    /// The fully qualified key: everything the functional emulation of a
-    /// job depends on. This is the trace half of the content address the
-    /// distributed sweep cache (`uve-sweep`) keys results by.
-    ///
-    /// The program fingerprint is [`uve_core::program_fingerprint`] —
-    /// FNV-1a over the canonical instruction-word encoding — so it is
-    /// stable across builds and machines, which is what lets the sweep
-    /// service persist its result cache to disk and reload it after a
-    /// restart (or a rebuild). Golden values are pinned in
-    /// `tests/fingerprint_golden.rs`.
-    pub fn of_full(
-        bench: &dyn Benchmark,
-        flavor: Flavor,
-        stream_level: MemLevel,
-        packing: IndirectPacking,
-        fault_seed: u64,
-    ) -> Self {
-        Self {
-            kernel: bench.name(),
-            flavor,
-            vlen: flavor.vlen_bytes(),
-            stream_level,
-            packing,
-            fault_seed,
-            program: uve_core::program_fingerprint(&bench.program(flavor)),
-        }
-    }
-}
-
 /// An emulated, correctness-checked functional trace.
 #[derive(Debug)]
 pub struct CachedTrace {
@@ -147,56 +184,6 @@ pub struct CachedTrace {
     pub trace: Trace,
     /// Committed dynamic instructions.
     pub committed: u64,
-}
-
-/// Emulates `bench`/`flavor` at `stream_level` and verifies the result
-/// against the kernel's oracle.
-///
-/// # Panics
-///
-/// Panics if the kernel mis-executes or fails its correctness check —
-/// measurement of an incorrect run would be meaningless.
-pub fn emulate_trace(bench: &dyn Benchmark, flavor: Flavor, stream_level: MemLevel) -> CachedTrace {
-    emulate_trace_full(bench, flavor, stream_level, IndirectPacking::default(), 0)
-}
-
-/// [`emulate_trace`] with every functional knob explicit: chunking mode and
-/// an optional stream fault-plan seed (0 = clean; nonzero seeds fault
-/// ~1/[`SWEEP_FAULT_RATE`] first-touched pages and recover precisely). This is the single emulation entry point of the
-/// distributed sweep worker.
-///
-/// # Panics
-///
-/// As [`emulate_trace`].
-pub fn emulate_trace_full(
-    bench: &dyn Benchmark,
-    flavor: Flavor,
-    stream_level: MemLevel,
-    packing: IndirectPacking,
-    fault_seed: u64,
-) -> CachedTrace {
-    let emu_cfg = EmuConfig {
-        vlen_bytes: flavor.vlen_bytes(),
-        stream_level,
-        packing,
-        ..EmuConfig::default()
-    };
-    let mut emu = uve_core::Emulator::new(emu_cfg, Memory::new());
-    if fault_seed != 0 {
-        emu.set_fault_plan(Some(StreamFaultPlan::new(fault_seed, SWEEP_FAULT_RATE)));
-    }
-    bench.setup(&mut emu);
-    let program = bench.program(flavor);
-    let result = emu
-        .run(&program)
-        .unwrap_or_else(|e| panic!("{}/{flavor}: {e}", bench.name()));
-    bench
-        .check(&emu)
-        .unwrap_or_else(|e| panic!("{}/{flavor}: {e}", bench.name()));
-    CachedTrace {
-        trace: result.trace,
-        committed: result.committed,
-    }
 }
 
 /// Replays a cached trace under `cpu` (warm-run methodology) and packages
@@ -218,39 +205,17 @@ struct TraceCache {
 }
 
 impl TraceCache {
-    /// Returns the trace for `(bench, flavor, stream_level)`, emulating at
-    /// most once per key even under concurrent lookups (late arrivals
-    /// block on the key's `OnceLock` instead of re-emulating).
-    fn get(
-        &self,
-        bench: &dyn Benchmark,
-        flavor: Flavor,
-        stream_level: MemLevel,
-        packing: IndirectPacking,
-        fault_seed: u64,
-    ) -> Arc<CachedTrace> {
+    /// Returns the trace of `point`, emulating at most once per key even
+    /// under concurrent lookups (late arrivals block on the key's
+    /// `OnceLock` instead of re-emulating).
+    fn get(&self, point: &Point<'_>) -> Arc<CachedTrace> {
         let cell = {
             let mut map = self.map.lock().expect("trace cache poisoned");
-            Arc::clone(
-                map.entry(TraceKey::of_full(
-                    bench,
-                    flavor,
-                    stream_level,
-                    packing,
-                    fault_seed,
-                ))
-                .or_default(),
-            )
+            Arc::clone(map.entry(point.key()).or_default())
         };
         let trace = cell.get_or_init(|| {
             self.emulations.fetch_add(1, Ordering::Relaxed);
-            Arc::new(emulate_trace_full(
-                bench,
-                flavor,
-                stream_level,
-                packing,
-                fault_seed,
-            ))
+            Arc::new(point.emulate())
         });
         Arc::clone(trace)
     }
@@ -263,14 +228,8 @@ impl TraceCache {
 pub struct JobFailure {
     /// Submission index of the failed job.
     pub index: usize,
-    /// Kernel name.
-    pub kernel: String,
-    /// Code flavour.
-    pub flavor: Flavor,
-    /// Vector length in bytes.
-    pub vlen: usize,
-    /// Default stream memory level.
-    pub stream_level: MemLevel,
+    /// The failed job's functional point.
+    pub key: TraceKey,
     /// The panic message (or timeout marker) that killed the job.
     pub reason: String,
 }
@@ -279,9 +238,10 @@ impl JobFailure {
     /// A one-line reproduction recipe for this failure.
     #[must_use]
     pub fn repro(&self) -> String {
+        let k = &self.key;
         format!(
-            "repro: kernel={} flavor={} vlen={} level={:?} :: {}",
-            self.kernel, self.flavor, self.vlen, self.stream_level, self.reason
+            "repro: kernel={} flavor={} vlen={} level={:?} packing={:?} fault_seed={} :: {}",
+            k.kernel, k.flavor, k.vlen, k.stream_level, k.packing, k.fault_seed, self.reason
         )
     }
 
@@ -418,22 +378,16 @@ impl Runner {
         self.cache.emulations.load(Ordering::Relaxed)
     }
 
-    /// The cached trace for an evaluation point, emulating it on first use
-    /// (shared with jobs run later).
-    pub fn trace(
-        &self,
-        bench: &dyn Benchmark,
-        flavor: Flavor,
-        stream_level: MemLevel,
-    ) -> Arc<CachedTrace> {
-        self.cache
-            .get(bench, flavor, stream_level, IndirectPacking::default(), 0)
+    /// The cached trace of `point`, emulating it on first use (shared with
+    /// jobs run later).
+    pub fn trace(&self, point: &Point<'_>) -> Arc<CachedTrace> {
+        self.cache.get(point)
     }
 
-    /// [`Runner::trace`] with every functional knob explicit — the
-    /// distributed sweep worker's cache entry point. `_exec` is ignored:
-    /// interpretation is the only execution strategy, and the parameter
-    /// stays only because callers pass a sweep point's [`ExecMode`] field.
+    /// [`Runner::trace`] with the point's fields spelled out. `_exec` is
+    /// ignored: interpretation is the only execution strategy, and the
+    /// parameter stays only because callers pass a sweep point's
+    /// [`ExecMode`] field.
     pub fn trace_full(
         &self,
         bench: &dyn Benchmark,
@@ -443,8 +397,13 @@ impl Runner {
         _exec: ExecMode,
         fault_seed: u64,
     ) -> Arc<CachedTrace> {
-        self.cache
-            .get(bench, flavor, stream_level, packing, fault_seed)
+        self.trace(&Point {
+            bench,
+            flavor,
+            stream_level,
+            packing,
+            fault_seed,
+        })
     }
 
     /// Warms the trace cache for `points` using the worker pool; later
@@ -456,64 +415,44 @@ impl Runner {
     /// [`Runner::failures`] instead of taking the warm-up down. Callers
     /// that go on to use [`Runner::trace`] directly should bail out first
     /// if [`Runner::finish`] reports failures.
-    pub fn warm_traces(&self, points: &[(&dyn Benchmark, Flavor, MemLevel)]) {
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..points.len()).collect());
-        self.pooled(points.len(), &|| {
-            while let Some(i) = pop(&queue) {
-                let (bench, flavor, level) = points[i];
-                uve_core::deadline::arm(self.timeout);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.cache
-                        .get(bench, flavor, level, IndirectPacking::default(), 0);
-                }));
-                uve_core::deadline::disarm();
-                if let Err(payload) = outcome {
-                    let failure = JobFailure {
-                        index: i,
-                        kernel: bench.name().to_string(),
-                        flavor,
-                        vlen: flavor.vlen_bytes(),
-                        stream_level: level,
-                        reason: panic_message(payload),
-                    };
-                    eprintln!("[warm {i:>3}] FAILED: {}", failure.repro());
-                    self.failures
-                        .lock()
-                        .expect("failure log poisoned")
-                        .push(failure);
-                }
-            }
+    pub fn warm_traces(&self, points: &[Point<'_>]) {
+        let outcomes = run_isolated(self.mode, points.len(), self.timeout, |i| {
+            self.cache.get(&points[i]);
         });
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            if let Err(reason) = outcome {
+                self.fail("warm", i, &points[i], reason);
+            }
+        }
     }
 
     /// Runs every job and returns the measurements **in submission order**,
     /// independent of worker scheduling. Serial and parallel modes produce
     /// bit-identical results.
+    ///
+    /// A panicking or timed-out job yields a placeholder measurement
+    /// (`"<kernel> [FAILED]"` with zeroed stats, which trivially satisfies
+    /// the conservation laws) and is recorded in [`Runner::failures`] —
+    /// the rest of the sweep keeps running and the figure still renders.
     pub fn run(&self, jobs: &[Job<'_>]) -> Vec<Measured> {
         let t0 = Instant::now();
-        let results: Vec<Mutex<Option<Measured>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..jobs.len()).collect());
         let job_nanos = AtomicU64::new(0);
-
-        let worker = || {
-            while let Some(i) = pop(&queue) {
-                let job = &jobs[i];
-                let jt = Instant::now();
-                let m = self.run_one(i, job);
-                let elapsed = jt.elapsed();
-                job_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-                if self.verbose {
-                    eprintln!(
-                        "[job {i:>3}] {:<16} {:<6} {:>9.1} ms",
-                        job.bench.name(),
-                        job.flavor.to_string(),
-                        elapsed.as_secs_f64() * 1e3,
-                    );
-                }
-                *results[i].lock().expect("result slot poisoned") = Some(m);
+        let outcomes = run_isolated(self.mode, jobs.len(), self.timeout, |i| {
+            let Job { point, cpu } = &jobs[i];
+            let jt = Instant::now();
+            let m = replay(point.bench.name(), point.flavor, &self.trace(point), cpu);
+            let elapsed = jt.elapsed();
+            job_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+            if self.verbose {
+                eprintln!(
+                    "[job {i:>3}] {:<16} {:<6} {:>9.1} ms",
+                    point.bench.name(),
+                    point.flavor.to_string(),
+                    elapsed.as_secs_f64() * 1e3,
+                );
             }
-        };
-        self.pooled(jobs.len(), &worker);
+            m
+        });
 
         let wall = t0.elapsed().as_secs_f64();
         let agg = job_nanos.load(Ordering::Relaxed) as f64 * 1e-9;
@@ -530,62 +469,40 @@ impl Runner {
                 self.emulations(),
             );
         }
-        results
+        outcomes
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker completed every job")
+            .zip(jobs)
+            .enumerate()
+            .map(|(i, (outcome, job))| {
+                outcome.unwrap_or_else(|reason| {
+                    self.fail("job", i, &job.point, reason);
+                    Measured {
+                        name: format!("{} [FAILED]", job.point.bench.name()),
+                        flavor: job.point.flavor,
+                        committed: 0,
+                        stats: uve_cpu::TimingStats::default(),
+                    }
+                })
             })
             .collect()
     }
 
-    /// Evaluates one job under panic isolation and a cooperative deadline.
-    ///
-    /// A panicking or timed-out job yields a placeholder measurement
-    /// (`"<kernel> [FAILED]"` with zeroed stats, which trivially satisfies
-    /// the conservation laws) and is recorded in [`Runner::failures`] —
-    /// the rest of the sweep keeps running and the figure still renders.
-    fn run_one(&self, index: usize, job: &Job<'_>) -> Measured {
-        uve_core::deadline::arm(self.timeout);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cached = self.cache.get(
-                job.bench,
-                job.flavor,
-                job.stream_level,
-                job.packing,
-                job.fault_seed,
-            );
-            replay(job.bench.name(), job.flavor, &cached, &job.cpu)
-        }));
-        uve_core::deadline::disarm();
-        match outcome {
-            Ok(m) => m,
-            Err(payload) => {
-                let failure = JobFailure {
-                    index,
-                    kernel: job.bench.name().to_string(),
-                    flavor: job.flavor,
-                    vlen: job.flavor.vlen_bytes(),
-                    stream_level: job.stream_level,
-                    reason: panic_message(payload),
-                };
-                eprintln!("[job {index:>3}] FAILED: {}", failure.repro());
-                self.failures
-                    .lock()
-                    .expect("failure log poisoned")
-                    .push(failure);
-                Measured {
-                    name: format!("{} [FAILED]", job.bench.name()),
-                    flavor: job.flavor,
-                    committed: 0,
-                    stats: uve_cpu::TimingStats::default(),
-                }
-            }
-        }
+    /// Records (and reports on stderr) the failure of item `index` of a
+    /// `what` batch at `point`.
+    fn fail(&self, what: &str, index: usize, point: &Point<'_>, reason: String) {
+        let failure = JobFailure {
+            index,
+            key: point.key(),
+            reason,
+        };
+        eprintln!("[{what} {index:>3}] FAILED: {}", failure.repro());
+        self.failures
+            .lock()
+            .expect("failure log poisoned")
+            .push(failure);
     }
 
-    /// The failures collected so far, in the order they were detected.
+    /// The failures collected so far, in job-index order within each batch.
     pub fn failures(&self) -> Vec<JobFailure> {
         self.failures.lock().expect("failure log poisoned").clone()
     }
@@ -604,12 +521,6 @@ impl Runner {
             eprintln!("  {}", f.repro());
         }
         1
-    }
-
-    /// Runs `worker` closures: inline when serial, else on a scoped pool
-    /// of `min(workers, work_items)` threads.
-    fn pooled(&self, work_items: usize, worker: &(dyn Fn() + Sync)) {
-        crate::pool::pooled(self.mode, work_items, worker);
     }
 }
 
@@ -656,14 +567,14 @@ mod tests {
         use uve_kernels::gemm::GemmUnrolled;
         let a = GemmUnrolled::new(8, 32, 8, 1);
         let b = GemmUnrolled::new(8, 32, 8, 2);
-        let ka = TraceKey::of_full(&a, Flavor::Uve, MemLevel::L2, IndirectPacking::Packed, 0);
-        let kb = TraceKey::of_full(&b, Flavor::Uve, MemLevel::L2, IndirectPacking::Packed, 0);
+        let ka = Point::new(&a, Flavor::Uve).key();
+        let kb = Point::new(&b, Flavor::Uve).key();
         assert_eq!(ka.kernel, kb.kernel, "same display name");
         assert_ne!(ka, kb, "different programs must not share a trace");
     }
 
     /// A benchmark whose correctness check always fails, so
-    /// [`emulate_trace`] panics — the vehicle for poisoned-job tests.
+    /// [`Point::emulate`] panics — the vehicle for poisoned-job tests.
     struct PoisonedBench(Saxpy);
 
     impl Benchmark for PoisonedBench {
@@ -717,6 +628,35 @@ mod tests {
         assert!(repro.contains("deliberately poisoned job"), "{repro}");
         assert!(!failures[0].is_timeout());
         assert_eq!(runner.finish(), 1);
+    }
+
+    #[test]
+    fn repro_names_the_failed_points_packing_and_fault_seed() {
+        let bad = PoisonedBench(Saxpy::new(256));
+        let point = Point::new(&bad, Flavor::Uve);
+        let jobs = [
+            Point {
+                packing: IndirectPacking::Unpacked,
+                ..point
+            },
+            Point {
+                fault_seed: 7,
+                ..point
+            },
+        ]
+        .map(|point| Job {
+            point,
+            cpu: CpuConfig::default(),
+        });
+        let runner = Runner::parallel(2).verbose(false);
+        runner.run(&jobs);
+        let failures = runner.failures();
+        assert_eq!(failures.len(), 2);
+        let (unpacked, seeded) = (failures[0].repro(), failures[1].repro());
+        assert!(unpacked.contains("packing=Unpacked"), "{unpacked}");
+        assert!(unpacked.contains("fault_seed=0"), "{unpacked}");
+        assert!(seeded.contains("packing=Packed"), "{seeded}");
+        assert!(seeded.contains("fault_seed=7"), "{seeded}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! baseline, and a cached-trace replay must equal a fresh-emulation
 //! replay.
 
-use uve_bench::{measure_with, Job, Runner};
+use uve_bench::{measure, Job, Point, Runner};
 use uve_core::engine::EngineConfig;
 use uve_cpu::CpuConfig;
 use uve_isa::MemLevel;
@@ -98,7 +98,7 @@ fn cached_replay_equals_fresh_emulation_replay() {
     );
 
     // And both must equal the uncached one-shot measurement path.
-    let fresh = measure_with(&bench, Flavor::Uve, &cpu, MemLevel::L2);
+    let fresh = measure(&bench, Flavor::Uve, &cpu);
 
     for m in [&first[0], &second[0]] {
         assert_eq!(m.committed, fresh.committed);
@@ -120,9 +120,12 @@ fn stream_level_is_part_of_the_trace_identity() {
     let levels = [MemLevel::L1, MemLevel::L2, MemLevel::Mem];
     let jobs: Vec<Job> = levels
         .iter()
-        .map(|&level| Job {
-            stream_level: level,
-            ..Job::new(&bench, Flavor::Uve, cpu.clone())
+        .map(|&stream_level| Job {
+            point: Point {
+                stream_level,
+                ..Point::new(&bench, Flavor::Uve)
+            },
+            cpu: cpu.clone(),
         })
         .collect();
     let out = runner.run(&jobs);

@@ -527,12 +527,6 @@ impl EngineSim {
         }
     }
 
-    /// Miss-speculation recovery: the speculative consume pointer is
-    /// CPU-side in this model, and buffered data is retained, so the engine
-    /// itself only needs to keep its fetched chunks — which it does. This
-    /// hook exists for symmetry and statistics.
-    pub fn squash(&mut self, _instance: StreamInstance) {}
-
     /// Number of currently open streams.
     pub fn open_streams(&self) -> usize {
         self.open.len()

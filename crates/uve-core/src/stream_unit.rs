@@ -538,12 +538,7 @@ impl StreamUnit {
             switches += e.ends.carry_depth();
             s.flags = e.ends;
             n += 1;
-            let close = if pack {
-                e.ends.ends_outer()
-            } else {
-                e.ends.ends_dim(0) || e.ends.ends_stream()
-            };
-            if close {
+            if e.ends.closes_chunk(pack) {
                 break;
             }
         }

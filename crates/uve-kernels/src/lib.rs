@@ -91,6 +91,24 @@ impl std::fmt::Display for Flavor {
     }
 }
 
+impl std::str::FromStr for Flavor {
+    type Err = String;
+
+    /// Parses a flavour name case-insensitively: `uve`, `sve`, `neon` or
+    /// `scalar`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_lowercase().as_str() {
+            "uve" => Ok(Flavor::Uve),
+            "sve" => Ok(Flavor::Sve),
+            "neon" => Ok(Flavor::Neon),
+            "scalar" => Ok(Flavor::Scalar),
+            other => Err(format!(
+                "unknown flavor {other:?}: expected uve, sve, neon, or scalar"
+            )),
+        }
+    }
+}
+
 /// One evaluation kernel: programs in all flavours, workload setup, and a
 /// correctness oracle.
 ///

@@ -383,23 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn read_explained_matches_read() {
-        let mut a = MemSystem::new(no_pf_cfg());
-        let mut b = MemSystem::new(no_pf_cfg());
-        for (i, path) in [Path::Normal, Path::StreamL2, Path::StreamMem, Path::Normal]
-            .into_iter()
-            .enumerate()
-        {
-            let addr = 0x8000 + i as u64 * 64;
-            assert_eq!(
-                a.read(addr, 1, 0, path),
-                b.read_explained(addr, 1, 0, path).ready
-            );
-        }
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
     fn reset_stats_zeroes_tlb_and_profile() {
         let mut m = MemSystem::new(no_pf_cfg());
         m.translate(0x1000);

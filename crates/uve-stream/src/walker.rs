@@ -60,6 +60,18 @@ impl EndFlags {
     pub fn ends_outer(self) -> bool {
         self.0 & !1 != 0
     }
+
+    /// `true` if a vector chunk must close after the element: at any
+    /// dimension-0 or stream boundary, or, when the stream `packs` (see
+    /// [`IndirectPacking`]), only at an outer-dimension or stream
+    /// boundary.
+    pub fn closes_chunk(self, packs: bool) -> bool {
+        if packs {
+            self.ends_outer()
+        } else {
+            self.ends_dim(0) || self.ends_stream()
+        }
+    }
 }
 
 /// How gathered elements of an *indirectly modified* stream are grouped
@@ -449,30 +461,6 @@ pub struct VecChunk {
     pub dim_switches: u32,
 }
 
-impl VecChunk {
-    /// Distinct cache lines touched by the chunk's elements, preserving first
-    /// access order, assuming `line_bytes`-sized lines. Consecutive accesses
-    /// to the same line are merged, mirroring the Streaming Engine's request
-    /// coalescing.
-    pub fn lines(&self, width_bytes: u64, line_bytes: u64) -> Vec<u64> {
-        // Chunks are at most a few dozen lanes, but packed gathers can
-        // scatter every lane to a distinct line; a seen-set keeps the dedup
-        // linear while preserving first-access order.
-        let mut seen = std::collections::HashSet::new();
-        let mut lines: Vec<u64> = Vec::new();
-        for &a in &self.addrs {
-            let first = a / line_bytes;
-            let last = (a + width_bytes - 1) / line_bytes;
-            for l in first..=last {
-                if seen.insert(l) {
-                    lines.push(l);
-                }
-            }
-        }
-        lines
-    }
-}
-
 /// Groups a [`Walker`]'s elements into [`VecChunk`]s of at most `vl`
 /// elements each.
 #[derive(Debug, Clone)]
@@ -545,12 +533,7 @@ impl VectorWalker {
             addrs.push(e.addr);
             ends = e.ends;
             dim_switches += e.ends.carry_depth();
-            let close = if self.pack {
-                e.ends.ends_outer()
-            } else {
-                e.ends.ends_dim(0) || e.ends.ends_stream()
-            };
-            if close {
+            if e.ends.closes_chunk(self.pack) {
                 break;
             }
         }
@@ -815,23 +798,6 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn chunk_lines_merge_consecutive() {
-        let p = Pattern::linear(0, ElemWidth::Word, 16).unwrap();
-        let mut vw = VectorWalker::new(&p, 16);
-        let c = vw.next_chunk(&NoMemory).unwrap();
-        // 16 words = 64 bytes = exactly one 64-byte line
-        assert_eq!(c.lines(4, 64), vec![0]);
-    }
-
-    #[test]
-    fn chunk_lines_scattered() {
-        let p = Pattern::strided(0, ElemWidth::Word, 4, 32).unwrap(); // 128 B apart
-        let mut vw = VectorWalker::new(&p, 4);
-        let c = vw.next_chunk(&NoMemory).unwrap();
-        assert_eq!(c.lines(4, 64), vec![0, 2, 4, 6]);
     }
 
     #[test]

@@ -74,16 +74,6 @@ fn parse_list<T>(s: &str, what: &str, f: impl Fn(&str) -> Option<T>) -> Result<V
         .collect()
 }
 
-fn parse_flavor(s: &str) -> Option<Flavor> {
-    match s.to_ascii_lowercase().as_str() {
-        "uve" => Some(Flavor::Uve),
-        "sve" => Some(Flavor::Sve),
-        "neon" => Some(Flavor::Neon),
-        "scalar" => Some(Flavor::Scalar),
-        _ => None,
-    }
-}
-
 fn parse_level(s: &str) -> Option<MemLevel> {
     match s.to_ascii_lowercase().as_str() {
         "l1" => Some(MemLevel::L1),
@@ -111,7 +101,7 @@ fn grid_spec(args: &mut Vec<String>) -> Result<SweepSpec, String> {
         spec.kernels = v.split(',').map(|s| s.trim().to_string()).collect();
     }
     if let Some(v) = take_opt(args, "--flavors") {
-        spec.flavors = parse_list(&v, "flavor", parse_flavor)?;
+        spec.flavors = parse_list(&v, "flavor", |s| s.parse().ok())?;
     }
     if let Some(v) = take_opt(args, "--levels") {
         spec.levels = parse_list(&v, "level", parse_level)?;

@@ -13,12 +13,12 @@
 //! integration tests and the `sweep` conformance engine: **a sweep's merged
 //! output is bit-identical to a serial in-process run**
 //! ([`spec::run_serial`]) regardless of worker count, request interleaving,
-//! cache hits, or workers dying mid-sweep. Workers run jobs under the same
-//! isolation the PR-4 pool uses (`catch_unwind` plus cooperative
-//! deadlines), the coordinator requeues jobs lost to worker death or
-//! timeout with bounded retries, and a repeated identical sweep performs
-//! **zero** new functional emulations — observable through the
-//! `emulations` counter carried in
+//! cache hits, or workers dying mid-sweep. Workers run jobs under the
+//! evaluation runner's isolation helper ([`uve_bench::isolated`]: panic
+//! isolation plus a cooperative deadline), the coordinator requeues jobs
+//! lost to worker death or timeout with bounded retries, and a repeated
+//! identical sweep performs **zero** new functional emulations —
+//! observable through the `emulations` counter carried in
 //! [`SweepStats`](spec::SweepStats).
 //!
 //! Each worker keeps one functional trace resident (`PointRunner`):

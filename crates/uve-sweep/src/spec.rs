@@ -11,10 +11,10 @@
 //!
 //! [`job_key`] is the content address of one grid point: an FNV-1a digest
 //! over the encoded [`PointSpec`] plus the program fingerprint of the
-//! resolved kernel (the same fingerprint [`TraceKey`] carries, so two
+//! resolved kernel (the same fingerprint [`Point::key`] carries, so two
 //! kernels sharing a display name but differing in parameters can never
 //! alias). Everything a job's result depends on — functional knobs
-//! ([`TraceKey`]), the timing configuration, and [`IndirectPacking`] — is
+//! ([`Point`]), the timing configuration, and [`IndirectPacking`] — is
 //! in the key, so a cache hit is always safe to replay.
 
 use std::time::Duration;
@@ -23,7 +23,7 @@ use crate::messages::{
     get_exec, get_flavor, get_level, get_packing, put_exec, put_flavor, put_level, put_packing,
     Reader, WireError, Writer,
 };
-use uve_bench::{replay, Runner, TraceKey};
+use uve_bench::{replay, Point, Runner};
 use uve_core::{fnv1a_key, ExecMode, IndirectPacking, FNV_OFFSET};
 use uve_cpu::CpuConfig;
 use uve_isa::MemLevel;
@@ -425,6 +425,18 @@ impl PointSpec {
         })
     }
 
+    /// The functional point this grid point replays, on `bench` (the
+    /// kernel [`resolve`]d from its name).
+    pub(crate) fn functional<'a>(&self, bench: &'a dyn Benchmark) -> Point<'a> {
+        Point {
+            bench,
+            flavor: self.flavor,
+            stream_level: self.level,
+            packing: self.packing,
+            fault_seed: self.fault_seed,
+        }
+    }
+
     /// The timing configuration this point replays under: Table I with
     /// the point's knobs applied.
     pub fn cpu_config(&self) -> CpuConfig {
@@ -580,7 +592,7 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 /// The content address of one grid point: everything its result depends
 /// on. Composes the encoded [`PointSpec`] (functional knobs, timing
 /// knobs, fault seed, core count) with the resolved kernel's
-/// program fingerprint from [`TraceKey`] and the [`MODEL_EPOCH`], so
+/// program fingerprint from [`Point::key`] and the [`MODEL_EPOCH`], so
 /// rows of an older model never hit, and renaming-but-reparametrising
 /// a kernel can never alias a stale cache entry. Every ingredient is
 /// build-stable (the fingerprint is canonical FNV-1a, see
@@ -593,13 +605,7 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 /// Propagates kernel-resolution failures.
 pub fn job_key(point: &PointSpec) -> Result<u64, String> {
     let bench = resolve(&point.kernel, point.small)?;
-    let tk = TraceKey::of_full(
-        bench.as_ref(),
-        point.flavor,
-        point.level,
-        point.packing,
-        point.fault_seed,
-    );
+    let tk = point.functional(bench.as_ref()).key();
     let mut w = Writer::new();
     point.encode(&mut w);
     let mut h = fnv1a_bytes(&w.into_bytes());
@@ -621,18 +627,12 @@ pub fn job_key(point: &PointSpec) -> Result<u64, String> {
 /// # Errors
 ///
 /// Returns kernel-resolution and coherence failures; emulation and
-/// timing-model panics propagate (workers wrap this in `catch_unwind`).
+/// timing-model panics propagate (workers run this under
+/// `uve_bench::isolated`).
 pub fn run_point(runner: &Runner, point: &PointSpec) -> Result<PointRow, String> {
     let bench = resolve(&point.kernel, point.small)?;
     let cpu = point.cpu_config();
-    let cached = runner.trace_full(
-        bench.as_ref(),
-        point.flavor,
-        point.level,
-        point.packing,
-        point.exec,
-        point.fault_seed,
-    );
+    let cached = runner.trace(&point.functional(bench.as_ref()));
     if point.cores <= 1 {
         let m = replay(bench.name(), point.flavor, &cached, &cpu);
         return Ok(PointRow {
@@ -1043,14 +1043,7 @@ mod tests {
         let resident = {
             let (_, r) = runner.current.as_ref().unwrap();
             let bench = resolve("memcpy", true).unwrap();
-            let trace = r.trace_full(
-                bench.as_ref(),
-                memcpy.flavor,
-                memcpy.level,
-                memcpy.packing,
-                memcpy.exec,
-                memcpy.fault_seed,
-            );
+            let trace = r.trace(&memcpy.functional(bench.as_ref()));
             std::sync::Arc::downgrade(&trace)
         };
         assert_eq!(runner.emulations(), 1, "the lookup above was a hit");

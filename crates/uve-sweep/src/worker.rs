@@ -2,19 +2,19 @@
 //!
 //! A worker connects, announces itself, and then serves [`Msg::RunJob`]
 //! requests one at a time, replying [`Msg::JobOk`] or [`Msg::JobErr`].
-//! Each job runs under the PR-4 isolation discipline: `catch_unwind`
-//! around the executor plus a cooperative wall-clock deadline
-//! ([`uve_core::deadline`]), so a poisoned grid point or a wedged model
-//! becomes a reported failure, never a hung or dead worker. The worker
-//! runs jobs on a `PointRunner`, which keeps one functional trace
-//! resident: consecutive jobs over the same functional point (canonical
-//! order puts them back to back) replay it, and the first job of another
-//! point drops it before emulating its own. A long-running worker's
-//! memory is therefore bounded by one trace, at the price of emulating a
-//! point again if a later sweep asks for new timing points of it. The
-//! worker reports the *fresh* emulation count of every job so the
-//! coordinator can account service-wide emulation work (the "second
-//! identical sweep re-emulates nothing" observable).
+//! Each job runs under the evaluation runner's one isolation helper,
+//! [`uve_bench::isolated`]: panic isolation around the executor plus a
+//! cooperative wall-clock deadline ([`uve_core::deadline`]), so a poisoned
+//! grid point or a wedged model becomes a reported failure, never a hung
+//! or dead worker. The worker runs jobs on a `PointRunner`, which keeps
+//! one functional trace resident: consecutive jobs over the same
+//! functional point (canonical order puts them back to back) replay it,
+//! and the first job of another point drops it before emulating its own.
+//! A long-running worker's memory is therefore bounded by one trace, at
+//! the price of emulating a point again if a later sweep asks for new
+//! timing points of it. The worker reports the *fresh* emulation count of
+//! every job so the coordinator can account service-wide emulation work
+//! (the "second identical sweep re-emulates nothing" observable).
 //!
 //! Hostility knobs ([`WorkerOptions::die_after`],
 //! [`WorkerOptions::panic_on`]) exist for the crash-recovery tests: they
@@ -23,14 +23,12 @@
 //! sweep output changing by a single bit.
 
 use std::net::TcpStream;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use crate::messages::{read_msg, write_msg, Msg, PROTOCOL_VERSION};
 use crate::spec::{PointRow, PointRunner, PointSpec, DEFAULT_WORKER_JOB_TIMEOUT};
-use uve_bench::panic_message;
-use uve_core::deadline;
+use uve_bench::isolated;
 
 /// Configuration for one worker process (or in-process worker thread).
 #[derive(Debug, Clone)]
@@ -67,15 +65,14 @@ impl Default for WorkerOptions {
     }
 }
 
-/// Runs one job under `catch_unwind` + a cooperative deadline, exactly the
-/// isolation the evaluation runner's pool applies.
+/// Runs one job under [`isolated`] with the worker's job budget, exactly
+/// the isolation the evaluation runner's pool applies.
 fn run_isolated_point(
     runner: &mut PointRunner,
     point: &PointSpec,
     opts: &WorkerOptions,
 ) -> Result<PointRow, String> {
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        deadline::arm(Some(opts.job_timeout));
+    isolated(Some(opts.job_timeout), || {
         if let Some(poison) = &opts.panic_on {
             assert!(
                 !point.kernel.eq_ignore_ascii_case(poison),
@@ -83,12 +80,9 @@ fn run_isolated_point(
                 point.kernel
             );
         }
-        let row = runner.run(point);
-        deadline::disarm();
-        row
-    }));
-    deadline::disarm();
-    caught.unwrap_or_else(|payload| Err(panic_message(payload)))
+        runner.run(point)
+    })
+    .and_then(|row| row)
 }
 
 /// Runs one job on a scoped thread while the connection thread streams

@@ -14,7 +14,7 @@
 //! cargo run --release --example idle_stretches
 //! ```
 
-use uve::bench::runner::emulate_trace;
+use uve::bench::Point;
 use uve::core::engine::EngineConfig;
 use uve::cpu::{CpuConfig, OoOCore};
 use uve::isa::MemLevel;
@@ -63,7 +63,11 @@ fn main() {
         ),
     ] {
         for bench in &benches {
-            let trace = emulate_trace(bench.as_ref(), Flavor::Uve, level).trace;
+            let point = Point {
+                stream_level: level,
+                ..Point::new(bench.as_ref(), Flavor::Uve)
+            };
+            let trace = point.emulate().trace;
             let (stats, log) = OoOCore::new(cpu.clone()).run_traced(&trace);
             let mut commits: Vec<u64> = log.ops.iter().map(|op| op.commit).collect();
             commits.dedup();
