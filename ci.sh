@@ -12,6 +12,17 @@ cargo fmt --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== trace arenas: no code outside trace.rs names the vestigial op fields =="
+# An op's registers and access lines live in per-trace arenas, read through
+# `Trace::srcs`, `Trace::dests` and `Trace::mem_lines`. The always-empty
+# `TraceOp` fields of the same names remain only because the benchmark
+# reads them, so any other field access reads nothing.
+if grep -rnP --include='*.rs' '\.(srcs|dests|mem_lines)\b(?!\s*\()' crates tests examples src \
+    | grep -v '^crates/uve-core/src/trace.rs:'; then
+    echo "the vestigial TraceOp fields are named outside crates/uve-core/src/trace.rs"
+    exit 1
+fi
+
 echo "== tier-1: build + tests (offline) =="
 cargo build --release --workspace --offline
 cargo test -q --workspace --offline
@@ -69,6 +80,9 @@ run_one_test uve-cpu core::tests::watchdog_dumps_accounting_on_deadlock
 run_one_test uve-bench pool::tests::panicking_item_is_isolated
 run_one_test uve-bench runner::tests::poisoned_job_is_isolated_and_reported
 run_one_test uve-bench runner::tests::repro_names_the_failed_points_packing_and_fault_seed
+# A recovered stream fault must leave the whole trace, its register and
+# line arenas included, bit-identical to the fault-free run's.
+run_one_test uve-core emulator::tests::fault_recovery_is_bit_identical_on_saxpy
 cargo test -q --offline --test fault_recovery
 
 echo "== multicore: coherence smoke + scheduling determinism =="

@@ -6,9 +6,9 @@
 //! optionally a hostile [`FaultConfig`] for the timing-model memory
 //! hierarchy — and checks three properties end to end:
 //!
-//! 1. **no panic**: the whole run executes under `catch_unwind`; any
-//!    panic (in the emulator, the recovery path, or the timing model) is
-//!    a failure, not a crash of the fuzzer;
+//! 1. **no panic**: the whole run executes under [`uve_bench::isolated`];
+//!    any panic (in the emulator, the recovery path, or the timing model)
+//!    is a failure, not a crash of the fuzzer;
 //! 2. **bit-identical recovery**: a run with injected stream faults must
 //!    finish with exactly the memory image ([`content_hash`]) and
 //!    architectural state ([`arch_digest`]) of the fault-free run, with
@@ -149,9 +149,8 @@ impl Engine for FaultEngine {
     // Property 1: never panic. Any unwind out of the model is converted
     // into an ordinary failure the shrinker can work on.
     fn check(case: &FaultCase) -> Result<(), String> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check_case(case))).unwrap_or_else(
-            |payload| Err(format!("panicked: {}", uve_bench::panic_message(payload))),
-        )
+        uve_bench::isolated(None, || check_case(case))
+            .unwrap_or_else(|message| Err(format!("panicked: {message}")))
     }
 
     fn shrink(case: &FaultCase) -> Vec<FaultCase> {

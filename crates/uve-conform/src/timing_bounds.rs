@@ -151,8 +151,8 @@ pub fn critical_path(trace: &Trace, cpu: &CpuConfig) -> u64 {
     let mut ready: HashMap<RegRef, u64> = HashMap::new();
     let mut longest = 0;
     for op in &trace.ops {
-        let start = op
-            .srcs
+        let start = trace
+            .srcs(op)
             .iter()
             .filter_map(|s| ready.get(s))
             .copied()
@@ -160,7 +160,7 @@ pub fn critical_path(trace: &Trace, cpu: &CpuConfig) -> u64 {
             .unwrap_or(0);
         let end =
             start + cpu.latency(op.exec) + cpu.fault_trap_penalty * u64::from(op.stream_faults);
-        for &d in &op.dests {
+        for &d in trace.dests(op) {
             ready.insert(d, end);
         }
         longest = longest.max(end);
@@ -227,7 +227,7 @@ impl Engine for TimingEngine {
         let cpu = case.shape.cpu();
         let path = critical_path(&trace, &cpu);
         let ctx = format!("{:?}/{}/{}c", case.kernel, case.flavor, case.cores);
-        let per_core = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let per_core = uve_bench::isolated(None, || {
             if case.cores == 1 {
                 Ok(vec![OoOCore::new(cpu.clone()).run_warm(&trace)])
             } else {
@@ -235,13 +235,8 @@ impl Engine for TimingEngine {
                     .map(|r| r.per_core)
                     .map_err(|v| format!("{ctx}: single-writer violation: {v}"))
             }
-        }))
-        .map_err(|p| {
-            format!(
-                "{ctx}: timing model panicked: {}",
-                uve_bench::panic_message(p)
-            )
-        })??;
+        })
+        .map_err(|m| format!("{ctx}: timing model panicked: {m}"))??;
         for (core, s) in per_core.iter().enumerate() {
             if s.committed != trace.committed() {
                 return Err(format!(
@@ -303,21 +298,12 @@ mod tests {
         let mut t = Trace::new();
         // x1 = div (12); x2 = x1 * _ (3); x1 = alu (1, independent);
         // x3 = x2 + x1, trapping twice.
-        let mut op = TraceOp::new(0, ExecClass::IntDiv);
-        op.dests.push(x(1));
-        t.ops.push(op);
-        let mut op = TraceOp::new(1, ExecClass::IntMul);
-        op.srcs.push(x(1));
-        op.dests.push(x(2));
-        t.ops.push(op);
-        let mut op = TraceOp::new(2, ExecClass::IntAlu);
-        op.dests.push(x(1));
-        t.ops.push(op);
+        t.push_op(TraceOp::new(0, ExecClass::IntDiv), &[], &[x(1)], &[]);
+        t.push_op(TraceOp::new(1, ExecClass::IntMul), &[x(1)], &[x(2)], &[]);
+        t.push_op(TraceOp::new(2, ExecClass::IntAlu), &[], &[x(1)], &[]);
         let mut op = TraceOp::new(3, ExecClass::IntAlu);
-        op.srcs.extend([x(2), x(1)]);
-        op.dests.push(x(3));
         op.stream_faults = 2;
-        t.ops.push(op);
+        t.push_op(op, &[x(2), x(1)], &[x(3)], &[]);
         assert_eq!(
             critical_path(&t, &cpu),
             12 + 3 + 1 + 2 * cpu.fault_trap_penalty

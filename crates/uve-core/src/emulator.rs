@@ -2,14 +2,15 @@
 //! producing results in memory and a dynamic [`Trace`] for the timing model.
 
 use crate::stream_unit::{StreamError, StreamUnit};
-use crate::trace::{BranchOutcome, Trace, TraceOp};
+use crate::trace::{BranchOutcome, StreamInstance, Trace, TraceOp};
 use crate::value::{PredVal, Scalar, VecVal};
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use uve_isa::{
     AluOp, BrCond, Dir, DupSrc, ElemWidth, ExecClass, FpOp, FpUnOp, HorizOp, Inst, PredCond,
-    PredOp, Program, RegClass, StreamCond, StreamCtl, VCmpOp, VOp, VReg, VType, VUnOp, XReg,
+    PredOp, Program, RegClass, RegRef, StreamCond, StreamCtl, VCmpOp, VOp, VReg, VType, VUnOp,
+    XReg,
 };
 use uve_mem::{fnv1a, Memory, FNV_OFFSET, LINE_BYTES};
 
@@ -595,6 +596,7 @@ impl Emulator {
         let snap_vl = self.vl_bytes;
         let snap_streams = self.streams.clone();
         let ops_len = trace.ops.len();
+        let (regs_len, lines_len) = (trace.regs.len(), trace.lines.len());
         let streams_len = trace.streams.len();
         let chunk_lens: Vec<usize> = trace.streams.iter().map(|s| s.chunks.len()).collect();
         let mut faults: u32 = 0;
@@ -629,6 +631,8 @@ impl Emulator {
                     self.vl_bytes = snap_vl;
                     self.streams.clone_from(&snap_streams);
                     trace.ops.truncate(ops_len);
+                    trace.regs.truncate(regs_len);
+                    trace.lines.truncate(lines_len);
                     trace.streams.truncate(streams_len);
                     for (s, &len) in trace.streams.iter_mut().zip(&chunk_lens) {
                         s.chunks.truncate(len);
@@ -644,6 +648,7 @@ impl Emulator {
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, inst: Inst, pc: u32, trace: &mut Trace) -> Result<u32, EmuError> {
         let mut op = TraceOp::new(pc, inst.exec_class());
+        let lines_at = trace.lines.len();
         let mut next = pc + 1;
         let mut consumed: Vec<(VReg, VecVal)> = Vec::new();
         let vlen = self.cfg.vlen_bytes;
@@ -677,7 +682,7 @@ impl Emulator {
             } => {
                 let addr = (self.x[base.index()] + off as i64) as u64;
                 self.set_x(rd, self.mem.read_elem(addr, width));
-                record_mem(&mut op, addr, width.bytes() as u64, false);
+                record_mem(&mut op, &mut trace.lines, lines_at, addr, width, false);
             }
             Inst::St {
                 src,
@@ -687,7 +692,7 @@ impl Emulator {
             } => {
                 let addr = (self.x[base.index()] + off as i64) as u64;
                 self.mem.write_elem(addr, width, self.x[src.index()]);
-                record_mem(&mut op, addr, width.bytes() as u64, true);
+                record_mem(&mut op, &mut trace.lines, lines_at, addr, width, true);
             }
             Inst::Fld {
                 fd,
@@ -701,7 +706,7 @@ impl Emulator {
                     _ => self.mem.read_f32(addr) as f64,
                 };
                 self.set_f(fd, v);
-                record_mem(&mut op, addr, width.bytes() as u64, false);
+                record_mem(&mut op, &mut trace.lines, lines_at, addr, width, false);
             }
             Inst::Fst {
                 src,
@@ -714,7 +719,7 @@ impl Emulator {
                     ElemWidth::Double => self.mem.write_f64(addr, self.f[src.index()]),
                     _ => self.mem.write_f32(addr, self.f[src.index()] as f32),
                 }
-                record_mem(&mut op, addr, width.bytes() as u64, true);
+                record_mem(&mut op, &mut trace.lines, lines_at, addr, width, true);
             }
             Inst::FAlu {
                 op: o,
@@ -1109,7 +1114,7 @@ impl Emulator {
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
                         first_addr.get_or_insert(addr);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -1135,7 +1140,7 @@ impl Emulator {
                         let addr = b.wrapping_add(((idx + l as i64) as u64).wrapping_mul(wb));
                         self.mem.write_elem(addr, width, val.int(l));
                         first_addr.get_or_insert(addr);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -1160,7 +1165,7 @@ impl Emulator {
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
                         first_addr.get_or_insert(addr);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -1187,7 +1192,7 @@ impl Emulator {
                         let addr = b.wrapping_add((iv.int(l) as u64).wrapping_mul(wb));
                         self.mem.write_elem(addr, width, val.int(l));
                         first_addr.get_or_insert(addr);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -1226,7 +1231,7 @@ impl Emulator {
                         let addr = b + l as u64 * wb;
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
                 op.mem_addr = b;
@@ -1250,7 +1255,7 @@ impl Emulator {
                     if pm.get(l) && val.lane_valid(l) {
                         let addr = b + l as u64 * wb;
                         self.mem.write_elem(addr, width, val.int(l));
-                        push_line(&mut op.mem_lines, addr, wb);
+                        push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
                 self.set_x(base, (b + vlen as u64) as i64);
@@ -1260,29 +1265,27 @@ impl Emulator {
         if self.cfg.record_trace {
             // Register dependencies, with stream-register operands removed
             // (they travel through the FIFO readiness interface instead).
-            op.srcs = inst
-                .srcs()
-                .into_iter()
-                .filter(|r| {
-                    !(r.class == RegClass::Vec
-                        && op
-                            .stream_reads
-                            .iter()
-                            .any(|(i, _)| trace.streams[*i as usize].u == r.num))
-                })
-                .collect();
-            op.dests = inst
-                .dests()
-                .into_iter()
-                .filter(|r| {
-                    !(r.class == RegClass::Vec
-                        && op
-                            .stream_writes
-                            .iter()
-                            .any(|(i, _)| trace.streams[*i as usize].u == r.num))
-                })
-                .collect();
-            trace.ops.push(op);
+            let is_stream = |r: &RegRef, chunks: &[(StreamInstance, u32)]| {
+                r.class == RegClass::Vec
+                    && chunks
+                        .iter()
+                        .any(|(i, _)| trace.streams[*i as usize].u == r.num)
+            };
+            let regs_at = trace.regs.len();
+            trace.regs.extend(
+                inst.srcs()
+                    .into_iter()
+                    .filter(|r| !is_stream(r, &op.stream_reads)),
+            );
+            let n_srcs = trace.regs.len() - regs_at;
+            trace.regs.extend(
+                inst.dests()
+                    .into_iter()
+                    .filter(|r| !is_stream(r, &op.stream_writes)),
+            );
+            trace.seal(op, regs_at, n_srcs, lines_at);
+        } else {
+            trace.lines.truncate(lines_at);
         }
         Ok(next)
     }
@@ -1510,17 +1513,27 @@ fn mac_lanes(
     out
 }
 
-fn record_mem(op: &mut TraceOp, addr: u64, bytes: u64, is_store: bool) {
+fn record_mem(
+    op: &mut TraceOp,
+    lines: &mut Vec<u64>,
+    lines_at: usize,
+    addr: u64,
+    width: ElemWidth,
+    is_store: bool,
+) {
     op.mem_addr = addr;
     op.is_store = is_store;
-    push_line(&mut op.mem_lines, addr, bytes);
+    push_line(lines, lines_at, addr, width.bytes() as u64);
 }
 
-fn push_line(lines: &mut Vec<u64>, addr: u64, bytes: u64) {
+/// Appends the lines of the `bytes` at `addr` to the line arena, whose
+/// entries from `lines_at` on belong to the op being recorded; a line
+/// equal to the op's previous one is merged.
+fn push_line(lines: &mut Vec<u64>, lines_at: usize, addr: u64, bytes: u64) {
     let first = addr / LINE_BYTES;
     let last = (addr + bytes - 1) / LINE_BYTES;
     for l in first..=last {
-        if lines.last() != Some(&l) {
+        if lines[lines_at..].last() != Some(&l) {
             lines.push(l);
         }
     }
@@ -1859,7 +1872,7 @@ hmax:
             .find(|o| !o.stream_reads.is_empty())
             .expect("stream-consuming op present");
         // u0 must not appear as a register dependency.
-        assert!(add.srcs.iter().all(|s| s.class != RegClass::Vec));
+        assert!(r.trace.srcs(add).iter().all(|s| s.class != RegClass::Vec));
         assert_eq!(add.stream_reads.len(), 1); // consumed once, used twice
     }
 
@@ -1877,7 +1890,30 @@ hmax:
         );
         assert_eq!(emu.x(XReg::A2), 1234);
         let st = r.trace.ops.iter().find(|o| o.is_store).unwrap();
-        assert_eq!(st.mem_lines, vec![0x3004 / 64]);
+        assert_eq!(r.trace.mem_lines(st), [0x3004 / 64]);
+    }
+
+    #[test]
+    fn consecutive_accesses_to_one_line_each_record_it() {
+        // Line merging is per op: the second load's line equals the last
+        // line recorded (the first load's), yet it must still record it.
+        let (_, r) = run_text(
+            "
+    li x11, 0x3000
+    ld.w x12, 0(x11)
+    ld.w x13, 4(x11)
+    halt
+",
+            |_| {},
+        );
+        let loads: Vec<&[u64]> = r
+            .trace
+            .ops
+            .iter()
+            .filter(|o| o.exec == ExecClass::Load)
+            .map(|o| r.trace.mem_lines(o))
+            .collect();
+        assert_eq!(loads, [[0x3000 / 64], [0x3000 / 64]]);
     }
 
     #[test]
@@ -1901,10 +1937,53 @@ hmax:
         assert!((emu.f(uve_isa::FReg::new(5)) - 12f64.sqrt()).abs() < 1e-6);
     }
 
+    /// Runs `text` clean and under a plan that faults every first-touched
+    /// page, and checks that recovery is bit-identical: memory, registers,
+    /// and the whole trace (both arenas included) up to the fault stamps.
+    fn assert_fault_recovery_is_bit_identical(text: &str, setup: impl Fn(&mut Emulator)) {
+        let prog = assemble("t", text).unwrap();
+        let mut clean = Emulator::new(EmuConfig::default(), Memory::new());
+        setup(&mut clean);
+        let clean_run = clean.run(&prog).unwrap();
+
+        let mut faulty = Emulator::new(EmuConfig::default(), Memory::new());
+        setup(&mut faulty);
+        faulty.set_fault_plan(Some(StreamFaultPlan::new(7, 1)));
+        let faulty_run = faulty.run(&prog).unwrap();
+
+        assert!(faulty.faults_taken() > 0, "plan must fire");
+        assert_eq!(
+            clean.mem.content_hash(),
+            faulty.mem.content_hash(),
+            "recovered memory must be bit-identical"
+        );
+        assert_eq!(
+            clean.arch_digest(),
+            faulty.arch_digest(),
+            "recovered registers must be bit-identical"
+        );
+        assert_eq!(clean_run.committed, faulty_run.committed);
+        let stamped: u64 = faulty_run
+            .trace
+            .ops
+            .iter()
+            .map(|o| u64::from(o.stream_faults))
+            .sum();
+        assert_eq!(stamped, faulty.faults_taken(), "every trap is stamped");
+        // The recovered trace matches except for the fault stamps.
+        let mut scrubbed = faulty_run.trace;
+        for o in &mut scrubbed.ops {
+            o.stream_faults = 0;
+        }
+        assert!(clean_run.trace == scrubbed, "recovered trace differs");
+    }
+
     #[test]
     fn fault_recovery_is_bit_identical_on_saxpy() {
         let n = 4096usize;
-        let text = "
+        // 4096 f32 over two arrays = 8 pages, so every stream takes
+        // several precise traps.
+        let saxpy = "
     li x10, 4096
     li x11, 0x10000
     li x12, 0x20000
@@ -1926,45 +2005,24 @@ loop:
             emu.mem.write_f32_slice(0x10000, &x);
             emu.mem.write_f32_slice(0x20000, &y);
         };
-        let prog = assemble("t", text).unwrap();
-        let mut clean = Emulator::new(EmuConfig::default(), Memory::new());
-        setup(&mut clean);
-        let clean_run = clean.run(&prog).unwrap();
-
-        let mut faulty = Emulator::new(EmuConfig::default(), Memory::new());
-        setup(&mut faulty);
-        // Fault every first-touched page: 4096 f32 over two arrays = 8
-        // pages, so every stream takes several precise traps.
-        faulty.set_fault_plan(Some(StreamFaultPlan::new(7, 1)));
-        let faulty_run = faulty.run(&prog).unwrap();
-
-        assert!(faulty.faults_taken() > 0, "plan must fire");
-        assert_eq!(
-            clean.mem.content_hash(),
-            faulty.mem.content_hash(),
-            "recovered memory must be bit-identical"
-        );
-        assert_eq!(
-            clean.arch_digest(),
-            faulty.arch_digest(),
-            "recovered registers must be bit-identical"
-        );
-        assert_eq!(clean_run.committed, faulty_run.committed);
-        // The recovered trace matches except for the fault stamps.
-        assert_eq!(clean_run.trace.ops.len(), faulty_run.trace.ops.len());
-        let stamped: u64 = faulty_run
-            .trace
-            .ops
-            .iter()
-            .map(|o| u64::from(o.stream_faults))
-            .sum();
-        assert_eq!(stamped, faulty.faults_taken(), "every trap is stamped");
-        let mut scrubbed = faulty_run.trace.ops.clone();
-        for o in &mut scrubbed {
-            o.stream_faults = 0;
-        }
-        assert_eq!(clean_run.trace.ops, scrubbed);
-        assert_eq!(clean_run.trace.streams, faulty_run.trace.streams);
+        assert_fault_recovery_is_bit_identical(saxpy, setup);
+        // The copy's explicit vector loads write straight into an output
+        // stream, so a trap on the stream store comes after the op has
+        // recorded its load lines: the retry must drop them.
+        let copy = "
+    li x10, 4096
+    li x11, 0x10000
+    li x12, 0x20000
+    li x13, 1
+    li x14, 256
+    ss.st.w u2, x12, x10, x13
+loop:
+    ss.load.w u2, x11, p0
+    addi x14, x14, -1
+    bne x14, x0, loop
+    halt
+";
+        assert_fault_recovery_is_bit_identical(copy, setup);
     }
 
     #[test]

@@ -77,13 +77,16 @@ pub struct TraceOp {
     pub pc: u32,
     /// Execution resource class.
     pub exec: ExecClass,
-    /// Source registers (stream registers included — the timing model
-    /// treats stream operands through the FIFO readiness interface instead
-    /// of the register file when listed in `stream_reads`).
+    /// Always empty: an op's registers and lines live in the trace's
+    /// arenas, read through [`Trace::srcs`], [`Trace::dests`] and
+    /// [`Trace::mem_lines`]. These three fields exist only because the
+    /// benchmark's `perfbench/src/traced.rs` reads them; the compact-record
+    /// change deletes them once the benchmark counts trace memory with
+    /// [`Trace::resident_bytes`].
     pub srcs: Vec<RegRef>,
-    /// Destination registers.
+    /// Always empty; see `srcs`.
     pub dests: Vec<RegRef>,
-    /// Cache lines touched by an explicit (non-stream) memory access.
+    /// Always empty; see `srcs`.
     pub mem_lines: Vec<u64>,
     /// First byte address of the access (prefetcher training key uses
     /// `pc`).
@@ -105,6 +108,14 @@ pub struct TraceOp {
     /// executing (each one cost a handler round trip; the timing model
     /// charges `fault_trap_penalty` per fault).
     pub stream_faults: u32,
+    /// Index of the op's first register in [`Trace::regs`]: `n_srcs`
+    /// sources, then `n_dests` destinations.
+    regs_at: u32,
+    /// Index of the op's first line in [`Trace::lines`].
+    lines_at: u32,
+    n_lines: u16,
+    n_srcs: u8,
+    n_dests: u8,
 }
 
 impl TraceOp {
@@ -124,23 +135,122 @@ impl TraceOp {
             stream_open: None,
             stream_close: None,
             stream_faults: 0,
+            regs_at: 0,
+            lines_at: 0,
+            n_lines: 0,
+            n_srcs: 0,
+            n_dests: 0,
         }
+    }
+
+    /// Capacity of the vestigial `srcs`, `dests` and `mem_lines` fields:
+    /// 0 for every op the emulator records.
+    pub fn vestigial_capacity(&self) -> usize {
+        self.srcs.capacity() + self.dests.capacity() + self.mem_lines.capacity()
     }
 }
 
 /// A complete dynamic trace.
-#[derive(Debug, Clone, Default)]
+///
+/// Each op's register operands and explicit-access lines live in two
+/// per-trace arenas rather than in per-op vectors, so recording an op
+/// allocates nothing of its own; an op holds only its ranges into them.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Dynamic instructions in program order.
     pub ops: Vec<TraceOp>,
     /// Stream instance side tables.
     pub streams: Vec<StreamTrace>,
+    /// Register arena: each op's source registers, then its destination
+    /// registers (stream registers excluded — the timing model reaches
+    /// stream operands through the FIFO readiness interface).
+    pub(crate) regs: Vec<RegRef>,
+    /// Line arena: the cache lines each op's explicit (non-stream) access
+    /// touches, in access order, with consecutive repeats merged.
+    pub(crate) lines: Vec<u64>,
 }
 
 impl Trace {
     /// Creates an empty trace.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Appends `op` with its source and destination registers and the
+    /// lines its explicit access touches.
+    pub fn push_op(&mut self, op: TraceOp, srcs: &[RegRef], dests: &[RegRef], lines: &[u64]) {
+        let (regs_at, lines_at) = (self.regs.len(), self.lines.len());
+        self.regs.extend_from_slice(srcs);
+        self.regs.extend_from_slice(dests);
+        self.lines.extend_from_slice(lines);
+        self.seal(op, regs_at, srcs.len(), lines_at);
+    }
+
+    /// Appends `op`, whose registers were pushed on the register arena
+    /// from `regs_at` (`n_srcs` sources, then destinations) and whose
+    /// lines were pushed on the line arena from `lines_at`.
+    pub(crate) fn seal(&mut self, mut op: TraceOp, regs_at: usize, n_srcs: usize, lines_at: usize) {
+        let index = |at: usize| u32::try_from(at).expect("trace arena index exceeds u32");
+        op.regs_at = index(regs_at);
+        op.n_srcs = u8::try_from(n_srcs).expect("more than 255 source registers");
+        op.n_dests = u8::try_from(self.regs.len() - regs_at - n_srcs)
+            .expect("more than 255 destination registers");
+        op.lines_at = index(lines_at);
+        op.n_lines =
+            u16::try_from(self.lines.len() - lines_at).expect("more than 65535 access lines");
+        self.ops.push(op);
+    }
+
+    /// Source registers of `op`, an op of this trace.
+    #[inline]
+    pub fn srcs(&self, op: &TraceOp) -> &[RegRef] {
+        let at = op.regs_at as usize;
+        &self.regs[at..at + usize::from(op.n_srcs)]
+    }
+
+    /// Destination registers of `op`, an op of this trace.
+    #[inline]
+    pub fn dests(&self, op: &TraceOp) -> &[RegRef] {
+        let at = op.regs_at as usize + usize::from(op.n_srcs);
+        &self.regs[at..at + usize::from(op.n_dests)]
+    }
+
+    /// Cache lines `op`'s explicit (non-stream) memory access touches.
+    #[inline]
+    pub fn mem_lines(&self, op: &TraceOp) -> &[u64] {
+        let at = op.lines_at as usize;
+        &self.lines[at..at + usize::from(op.n_lines)]
+    }
+
+    /// Every op's access lines, in op order, for rewriting in place.
+    pub fn lines_mut(&mut self) -> &mut [u64] {
+        &mut self.lines
+    }
+
+    /// Heap bytes the trace owns, counted as capacity × element size:
+    /// the op table, both arenas, each op's stream-chunk vectors, the
+    /// stream table and each chunk's line list. Allocator overhead
+    /// (block headers, size-class rounding) is not counted.
+    pub fn resident_bytes(&self) -> u64 {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let ops: usize = self
+            .ops
+            .iter()
+            .map(|op| bytes(&op.stream_reads) + bytes(&op.stream_writes))
+            .sum();
+        let streams: usize = self
+            .streams
+            .iter()
+            .map(|s| bytes(&s.chunks) + s.chunks.iter().map(|c| bytes(&c.lines)).sum::<usize>())
+            .sum();
+        (bytes(&self.ops)
+            + bytes(&self.regs)
+            + bytes(&self.lines)
+            + ops
+            + bytes(&self.streams)
+            + streams) as u64
     }
 
     /// Number of dynamic (committed) instructions.
@@ -242,10 +352,10 @@ impl Relocation {
     /// byte addresses, and stream chunk line lists (including
     /// indirection-origin reads), so the result stays self-consistent.
     pub fn apply(&self, trace: &mut Trace) {
+        for line in &mut trace.lines {
+            *line = self.line(*line);
+        }
         for op in &mut trace.ops {
-            for line in &mut op.mem_lines {
-                *line = self.line(*line);
-            }
             let (line, offset) = (op.mem_addr / LINE_BYTES, op.mem_addr % LINE_BYTES);
             op.mem_addr = self.line(line) * LINE_BYTES + offset;
         }
@@ -270,6 +380,64 @@ mod tests {
         assert_eq!(moved, vec![2, 103, 104, 105, 6, 7, 8, 109, 10]);
         assert_eq!(r.with_delta(0).line(4), 4);
         assert_eq!(Relocation::identity().line(4), 4);
+    }
+
+    fn x(num: u8) -> RegRef {
+        RegRef {
+            class: uve_isa::RegClass::Int,
+            num,
+        }
+    }
+
+    #[test]
+    fn ops_read_their_own_arena_ranges() {
+        let mut t = Trace::new();
+        t.push_op(TraceOp::new(0, ExecClass::Load), &[x(1)], &[x(2)], &[4, 5]);
+        t.ops.push(TraceOp::new(1, ExecClass::Simple));
+        t.push_op(TraceOp::new(2, ExecClass::IntAlu), &[x(2), x(3)], &[], &[]);
+        let [load, bare, alu] = [&t.ops[0], &t.ops[1], &t.ops[2]];
+        assert_eq!((t.srcs(load), t.dests(load)), (&[x(1)][..], &[x(2)][..]));
+        assert_eq!(t.mem_lines(load), [4, 5]);
+        assert!(t.srcs(bare).is_empty() && t.dests(bare).is_empty());
+        assert!(t.mem_lines(bare).is_empty());
+        assert_eq!((t.srcs(alu), t.dests(alu)), (&[x(2), x(3)][..], &[][..]));
+        assert!(t.mem_lines(alu).is_empty());
+    }
+
+    #[test]
+    fn resident_bytes_counts_every_capacity() {
+        let mut t = Trace {
+            ops: Vec::with_capacity(4),
+            streams: Vec::with_capacity(2),
+            regs: Vec::with_capacity(8),
+            lines: Vec::with_capacity(3),
+        };
+        let mut op = TraceOp::new(0, ExecClass::Load);
+        op.stream_reads = Vec::with_capacity(5);
+        op.stream_writes = Vec::with_capacity(1);
+        t.push_op(op, &[x(1)], &[x(2)], &[7]);
+        let mut chunks = Vec::with_capacity(3);
+        chunks.push(ChunkMeta {
+            lines: Vec::with_capacity(6),
+            dim_switches: 0,
+            valid: 0,
+        });
+        t.streams.push(StreamTrace {
+            u: 0,
+            dir: Dir::Load,
+            level: MemLevel::L2,
+            width: ElemWidth::Word,
+            chunks,
+            cfg_insts: 1,
+        });
+        let expected = 4 * std::mem::size_of::<TraceOp>()
+            + 8 * std::mem::size_of::<RegRef>()
+            + 3 * 8
+            + 6 * std::mem::size_of::<(StreamInstance, u32)>()
+            + 2 * std::mem::size_of::<StreamTrace>()
+            + 3 * std::mem::size_of::<ChunkMeta>()
+            + 6 * 8;
+        assert_eq!(t.resident_bytes(), expected as u64);
     }
 
     #[test]

@@ -686,7 +686,7 @@ impl CorePipeline {
             }
             let op = &trace.ops[idx];
             if op.is_store {
-                for &line in &op.mem_lines {
+                for &line in trace.mem_lines(op) {
                     mem.write(
                         self.reloc.line(line) * LINE_BYTES,
                         u64::from(op.pc),
@@ -727,7 +727,7 @@ impl CorePipeline {
             if let Some(inst) = op.stream_close {
                 self.engine.close(inst);
             }
-            for d in &op.dests {
+            for d in trace.dests(op) {
                 self.free_regs[class_idx(d.class)] += 1;
             }
             match op.exec {
@@ -812,8 +812,8 @@ impl CorePipeline {
                 || (op.exec == ExecClass::Store && self.sq_used >= self.cfg.sq_entries)
             {
                 block = Some(RenameBlockReason::Lsq);
-            } else if op
-                .dests
+            } else if trace
+                .dests(op)
                 .iter()
                 .any(|d| self.free_regs[class_idx(d.class)] == 0)
             {
@@ -864,7 +864,7 @@ impl CorePipeline {
             // bounds when this op's registers are ready.
             let mut pending = 0;
             let mut at = 0;
-            for &s in &op.srcs {
+            for &s in trace.srcs(op) {
                 let d = self.last_writer[reg_slot(s)];
                 if d == NO_WRITER {
                     continue;
@@ -877,7 +877,7 @@ impl CorePipeline {
                     done => at = at.max(done),
                 }
             }
-            for &d in &op.dests {
+            for &d in trace.dests(op) {
                 self.free_regs[class_idx(d.class)] -= 1;
                 self.last_writer[reg_slot(d)] = idx;
             }
@@ -960,7 +960,7 @@ impl CorePipeline {
             let head_waiting_mem = head_issued
                 && self.done[head] > now
                 && head_op.exec == ExecClass::Load
-                && !head_op.mem_lines.is_empty();
+                && !trace.mem_lines(head_op).is_empty();
             let head_stream_stall = if self.rob_used > 0 && self.done[head] == NOT_DONE {
                 head_op
                     .stream_reads
@@ -1035,14 +1035,15 @@ impl CorePipeline {
         let op = &trace.ops[idx];
         let mut completion = match op.exec {
             ExecClass::Load => {
-                if op.mem_lines.is_empty() {
+                let lines = trace.mem_lines(op);
+                if lines.is_empty() {
                     now + 1
                 } else {
                     let mut ready = now;
                     let mut mshr_wait = 0;
                     let mut from_dram = false;
                     let mut from_snoop = false;
-                    for &line in &op.mem_lines {
+                    for &line in lines {
                         let r = mem.read_explained(
                             self.reloc.line(line) * LINE_BYTES,
                             u64::from(op.pc),
@@ -1533,17 +1534,21 @@ skip:
         };
         let mut t = Trace::new();
         for k in 1..=n {
-            let mut op = TraceOp::new(u32::from(k), ExecClass::FpDiv);
-            op.dests.push(f(k));
-            if k > 1 {
-                op.srcs.push(f(k - 1));
-            }
-            t.ops.push(op);
+            let srcs = if k > 1 { vec![f(k - 1)] } else { vec![] };
+            t.push_op(
+                TraceOp::new(u32::from(k), ExecClass::FpDiv),
+                &srcs,
+                &[f(k)],
+                &[],
+            );
         }
-        let mut consumer = TraceOp::new(u32::from(n) + 1, ExecClass::FpAdd);
-        consumer.srcs = (1..=n).map(f).collect();
-        consumer.dests.push(f(n + 1));
-        t.ops.push(consumer);
+        let srcs: Vec<RegRef> = (1..=n).map(f).collect();
+        t.push_op(
+            TraceOp::new(u32::from(n) + 1, ExecClass::FpAdd),
+            &srcs,
+            &[f(n + 1)],
+            &[],
+        );
         let (stats, log) = OoOCore::new(CpuConfig::default()).run_traced(&t);
         assert_eq!(stats.committed, u64::from(n) + 1);
         let last_producer = log.ops[usize::from(n) - 1];

@@ -38,7 +38,7 @@ pub fn written_lines(trace: &Trace) -> Vec<u64> {
     let mut out = Vec::new();
     for op in &trace.ops {
         if op.is_store {
-            for &line in &op.mem_lines {
+            for &line in trace.mem_lines(op) {
                 if seen.insert(line) {
                     out.push(line);
                 }
@@ -103,11 +103,11 @@ pub fn relocate_trace(trace: &Trace, slot: usize) -> Trace {
         return out;
     }
     let delta = slot as u64 * SHARD_STRIDE_LINES;
-    for op in &mut out.ops {
-        for line in &mut op.mem_lines {
-            *line += delta;
-        }
-        if op.mem_addr != 0 || !op.mem_lines.is_empty() {
+    for line in out.lines_mut() {
+        *line += delta;
+    }
+    for (op, orig) in out.ops.iter_mut().zip(&trace.ops) {
+        if op.mem_addr != 0 || !trace.mem_lines(orig).is_empty() {
             op.mem_addr += delta * LINE_BYTES;
         }
     }
@@ -131,13 +131,11 @@ mod tests {
         let mut t = Trace::new();
         let mut store = TraceOp::new(0, ExecClass::Store);
         store.is_store = true;
-        store.mem_lines = vec![10, 11];
         store.mem_addr = 10 * LINE_BYTES + 8;
-        t.ops.push(store);
+        t.push_op(store, &[], &[], &[10, 11]);
         let mut load = TraceOp::new(1, ExecClass::Load);
-        load.mem_lines = vec![10, 99];
         load.mem_addr = 99 * LINE_BYTES;
-        t.ops.push(load);
+        t.push_op(load, &[], &[], &[10, 99]);
         t.streams.push(StreamTrace {
             u: 2,
             dir: Dir::Store,
@@ -162,7 +160,7 @@ mod tests {
     fn core_zero_is_untouched() {
         let t = toy_trace();
         let s = shard_trace(&t, 0, 1);
-        assert_eq!(s.ops[0].mem_lines, t.ops[0].mem_lines);
+        assert_eq!(s.mem_lines(&s.ops[0]), t.mem_lines(&t.ops[0]));
         assert_eq!(s.streams[0].chunks[0].lines, t.streams[0].chunks[0].lines);
     }
 
@@ -172,10 +170,10 @@ mod tests {
         // First written line (10) stays shared; 11 and 20 go private.
         let s = shard_trace(&t, 2, 1);
         let d = 2 * SHARD_STRIDE_LINES;
-        assert_eq!(s.ops[0].mem_lines, vec![10, 11 + d]);
+        assert_eq!(s.mem_lines(&s.ops[0]), [10, 11 + d]);
         assert_eq!(s.ops[0].mem_addr, 10 * LINE_BYTES + 8);
         // The read of written line 10 stays shared; read-only 99 untouched.
-        assert_eq!(s.ops[1].mem_lines, vec![10, 99]);
+        assert_eq!(s.mem_lines(&s.ops[1]), [10, 99]);
         assert_eq!(s.streams[0].chunks[0].lines, vec![11 + d, 20 + d]);
     }
 
@@ -184,19 +182,19 @@ mod tests {
         let t = toy_trace();
         let r = relocate_trace(&t, 2);
         let d = 2 * SHARD_STRIDE_LINES;
-        assert_eq!(r.ops[0].mem_lines, vec![10 + d, 11 + d]);
+        assert_eq!(r.mem_lines(&r.ops[0]), [10 + d, 11 + d]);
         assert_eq!(r.ops[0].mem_addr, (10 + d) * LINE_BYTES + 8);
-        assert_eq!(r.ops[1].mem_lines, vec![10 + d, 99 + d]);
+        assert_eq!(r.mem_lines(&r.ops[1]), [10 + d, 99 + d]);
         assert_eq!(r.streams[0].chunks[0].lines, vec![11 + d, 20 + d]);
         let id = relocate_trace(&t, 0);
-        assert_eq!(id.ops[0].mem_lines, t.ops[0].mem_lines);
+        assert_eq!(id.mem_lines(&id.ops[0]), t.mem_lines(&t.ops[0]));
     }
 
     #[test]
     fn all_written_lines_shared_means_identity() {
         let t = toy_trace();
         let s = shard_trace(&t, 3, usize::MAX);
-        assert_eq!(s.ops[0].mem_lines, t.ops[0].mem_lines);
+        assert_eq!(s.mem_lines(&s.ops[0]), t.mem_lines(&t.ops[0]));
         assert_eq!(s.streams[0].chunks[0].lines, t.streams[0].chunks[0].lines);
     }
 }
