@@ -23,6 +23,17 @@ if grep -rnP --include='*.rs' '\.(srcs|dests|mem_lines)\b(?!\s*\()' crates tests
     exit 1
 fi
 
+echo "== one timing driver: nothing outside uve-mem names MemSystem =="
+# The one timing driver, `uve_cpu::lockstep`, steps pipelines over an
+# `SmpMem`, and a single-core replay is its one-core case. `MemSystem`,
+# the one-core view of `SmpMem`, remains only because the benchmark steps
+# a pipeline over it, so no other code may come to depend on it again.
+if grep -rnw --include='*.rs' MemSystem crates tests examples src \
+    | grep -v '^crates/uve-mem/'; then
+    echo "MemSystem is named outside crates/uve-mem/"
+    exit 1
+fi
+
 echo "== tier-1: build + tests (offline) =="
 cargo build --release --workspace --offline
 cargo test -q --workspace --offline

@@ -19,7 +19,7 @@ fn main() {
     };
     let runner = uve_bench::Runner::from_args();
     if want("fig8") {
-        uve_bench::figures::fig8(None, &runner);
+        uve_bench::figures::fig8(None, None, &runner);
     }
     if want("fig9") {
         uve_bench::figures::fig9(&runner);

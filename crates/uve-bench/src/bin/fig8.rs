@@ -13,9 +13,6 @@ fn main() {
     let panel = cli.value("--panel").map(str::to_string);
     let json = cli.value("--json").map(str::to_string);
     let runner = Runner::from_cli(&cli);
-    uve_bench::figures::fig8(panel.as_deref(), &runner);
-    if let Some(path) = json {
-        uve_bench::figures::fig8_json(&path, &runner);
-    }
+    uve_bench::figures::fig8(panel.as_deref(), json.as_deref(), &runner);
     std::process::exit(runner.finish());
 }

@@ -77,7 +77,9 @@ fn assert_trace_reuse(runner: &Runner, before: u64, points: usize, what: &str) {
 }
 
 /// Fig. 8, panels A–E. `panel` restricts output (`a`..`e`); `None` = all.
-pub fn fig8(panel: Option<&str>, runner: &Runner) {
+/// `json` also writes the headline numbers to that path (`fig8_json`),
+/// from the same suite runs as panels A–D.
+pub fn fig8(panel: Option<&str>, json: Option<&str>, runner: &Runner) {
     if let Some(p) = panel {
         assert!(
             matches!(p, "a" | "b" | "c" | "d" | "e"),
@@ -211,19 +213,28 @@ pub fn fig8(panel: Option<&str>, runner: &Runner) {
             );
         }
     }
+
+    if let Some(path) = json {
+        // Only `--panel e` runs no suite above.
+        let runs = if runs.is_empty() {
+            suite_runs(runner)
+        } else {
+            runs
+        };
+        fig8_json(path, runner, &runs);
+    }
 }
 
-/// Writes the Fig. 8 headline numbers to `path` as JSON: the panel-B
-/// speed-up geomeans under packed (default) and unpacked indirect
-/// chunking, plus the MAMR-Ind observables of the packing fix.
+/// Writes the Fig. 8 headline numbers of the suite `runs` to `path` as
+/// JSON: the panel-B speed-up geomeans under packed (default) and unpacked
+/// indirect chunking, plus the MAMR-Ind observables of the packing fix.
 ///
 /// # Panics
 ///
 /// Panics if MAMR-Ind's packed UVE run is *slower* than its scalar
 /// baseline (speedup < 1.0×) — the paper reports a clear UVE win there,
 /// and losing it means the packed chunking regressed.
-pub fn fig8_json(path: &str, runner: &Runner) {
-    let runs = suite_runs(runner);
+fn fig8_json(path: &str, runner: &Runner, runs: &[KernelRuns]) {
     let cpu = CpuConfig::default();
     // The same UVE points with packing off; SVE/NEON baselines have no
     // indirect streams and are reused as-is.

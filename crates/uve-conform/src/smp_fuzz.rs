@@ -214,7 +214,7 @@ impl Engine for SmpEngine {
             program: bench.program(case.flavor),
             emu,
         }];
-        let outcomes = uve_smp::run_round_robin(jobs, case.cores, case.steps)
+        let outcomes = uve_smp::run_round_robin(jobs, case.steps)
             .map_err(|e| format!("{}: {e}", ctx("round robin")))?;
         let out = &outcomes[0];
         if out.arch_digest != solo_digest {

@@ -575,7 +575,7 @@ fn level_path(level: MemLevel) -> Path {
 mod tests {
     use super::*;
     use uve_isa::ElemWidth;
-    use uve_mem::{MemConfig, MemSystem};
+    use uve_mem::{MemConfig, SmpMem};
 
     fn mk_stream(dir: Dir, chunks: Vec<ChunkMeta>) -> StreamTrace {
         StreamTrace {
@@ -596,12 +596,15 @@ mod tests {
         }
     }
 
-    fn mem() -> MemSystem {
-        MemSystem::new(MemConfig {
-            l1_prefetcher: false,
-            l2_prefetcher: false,
-            ..MemConfig::default()
-        })
+    fn mem() -> SmpMem {
+        SmpMem::new(
+            MemConfig {
+                l1_prefetcher: false,
+                l2_prefetcher: false,
+                ..MemConfig::default()
+            },
+            1,
+        )
     }
 
     #[test]
@@ -630,7 +633,8 @@ mod tests {
             vec![lines(&[1]), lines(&[2]), lines(&[3])],
         )];
         let mut e = EngineSim::new(EngineConfig::default());
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         // After a few cycles, all three chunks should be fetched without any
         // CPU consumption.
@@ -651,7 +655,8 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut e = EngineSim::new(cfg);
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         for now in 0..100 {
             e.tick(now, &streams, &Relocation::identity(), &mut m);
@@ -679,7 +684,8 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut e = EngineSim::new(cfg);
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         e.open(1, &streams[1], 0);
         for now in 0..12 {
@@ -699,7 +705,8 @@ mod tests {
         };
         let streams = vec![mk_stream(Dir::Load, vec![chunk])];
         let mut e = EngineSim::new(EngineConfig::default());
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         for now in 0..2 {
             e.tick(now, &streams, &Relocation::identity(), &mut m);
@@ -717,7 +724,8 @@ mod tests {
     fn store_streams_write_at_commit() {
         let streams = vec![mk_stream(Dir::Store, vec![lines(&[5])])];
         let mut e = EngineSim::new(EngineConfig::default());
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         for now in 0..5 {
             e.tick(now, &streams, &Relocation::identity(), &mut m);
@@ -740,7 +748,8 @@ mod tests {
         e.open(1, &streams[1], 0);
         // Stream 1's config completes only after stream 0's (1 cycle) plus
         // its own 4 instructions.
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.tick(1, &streams, &Relocation::identity(), &mut m); // stream 0 eligible at cycle 1
         assert_eq!(e.stats().line_requests, 1);
         e.tick(2, &streams, &Relocation::identity(), &mut m); // stream 1 not yet (starts at 5)
@@ -755,8 +764,9 @@ mod tests {
     fn faulting_pages_are_flagged_not_requested() {
         let streams = vec![mk_stream(Dir::Load, vec![lines(&[0x100]), lines(&[0x200])])];
         let mut e = EngineSim::new(EngineConfig::default());
-        let mut m = mem();
-        m.tlb_mut().mark_faulting(0x100 * 64);
+        let mut smp = mem();
+        smp.tlb_mut(0).mark_faulting(0x100 * 64);
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         for now in 0..10 {
             e.tick(now, &streams, &Relocation::identity(), &mut m);
@@ -776,7 +786,8 @@ mod tests {
         let chunks: Vec<ChunkMeta> = (0..192).step_by(32).map(|l| lines(&[l])).collect();
         let streams = vec![mk_stream(Dir::Load, chunks)];
         let mut e = EngineSim::new(EngineConfig::default());
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         for now in 0..40 {
             e.tick(now, &streams, &Relocation::identity(), &mut m);
@@ -791,7 +802,8 @@ mod tests {
         let chunks: Vec<ChunkMeta> = (0..8).map(|i| lines(&[i])).collect();
         let streams = vec![mk_stream(Dir::Load, chunks)];
         let mut e = EngineSim::new(EngineConfig::default());
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         for now in 0..50 {
             e.tick(now, &streams, &Relocation::identity(), &mut m);
@@ -814,7 +826,8 @@ mod tests {
             .map(|s| mk_stream(Dir::Load, (0..4).map(|i| lines(&[s * 100 + i])).collect()))
             .collect();
         let mut e = EngineSim::new(EngineConfig::default());
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.open(1, &streams[1], 0);
         e.open(0, &streams[0], 0);
         for now in 0..20 {
@@ -841,18 +854,22 @@ mod tests {
         let chunks: Vec<ChunkMeta> = (0..32).map(|i| lines(&[i * 64])).collect();
         let streams = vec![mk_stream(Dir::Load, chunks)];
         let mut e = EngineSim::new(EngineConfig::default());
-        let mut m = MemSystem::new(MemConfig {
-            l1_prefetcher: false,
-            l2_prefetcher: false,
-            fault: Some(FaultConfig {
-                transient_rate: 4,
-                poison_dram_rate: 4,
-                poison_l2_rate: 4,
-                tlb_fault_rate: 0,
-                ..FaultConfig::hostile(3)
-            }),
-            ..MemConfig::default()
-        });
+        let mut smp = SmpMem::new(
+            MemConfig {
+                l1_prefetcher: false,
+                l2_prefetcher: false,
+                fault: Some(FaultConfig {
+                    transient_rate: 4,
+                    poison_dram_rate: 4,
+                    poison_l2_rate: 4,
+                    tlb_fault_rate: 0,
+                    ..FaultConfig::hostile(3)
+                }),
+                ..MemConfig::default()
+            },
+            1,
+        );
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         let mut saw_replay = false;
         let mut now = 0;
@@ -883,7 +900,8 @@ mod tests {
         let chunks: Vec<ChunkMeta> = (0..8).map(|i| lines(&[i])).collect();
         let streams = vec![mk_stream(Dir::Load, chunks)];
         let mut e = EngineSim::new(EngineConfig::default());
-        let mut m = mem();
+        let mut smp = mem();
+        let mut m = smp.port(0);
         e.open(0, &streams[0], 0);
         for now in 0..50 {
             e.tick(now, &streams, &Relocation::identity(), &mut m);

@@ -19,7 +19,7 @@ use crate::stats::{CycleAccount, RenameBlockReason, TimingStats};
 use uve_core::engine::{ChunkStatus, EngineSim};
 use uve_core::{Relocation, Trace, TraceOp};
 use uve_isa::{Dir, ExecClass, RegClass, RegRef};
-use uve_mem::{MemPort, MemSystem, Path, LINE_BYTES};
+use uve_mem::{CoherenceViolation, MemPort, Path, SmpMem, LINE_BYTES};
 
 /// Scheduler cluster indices.
 const CL_INT: usize = 0;
@@ -411,7 +411,8 @@ impl Select {
     }
 }
 
-/// The out-of-order core model.
+/// The out-of-order core model: a single-core replay, which [`lockstep`]
+/// runs as its one-core case over a one-core [`SmpMem`].
 #[derive(Debug, Clone)]
 pub struct OoOCore {
     cfg: CpuConfig,
@@ -430,19 +431,23 @@ impl OoOCore {
 
     /// Simulates the trace to completion over a fresh (cold) memory
     /// hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation exceeds `max_cycles` or the no-retire
+    /// watchdog fires (model bugs, not user errors).
     pub fn run(&self, trace: &Trace) -> TimingStats {
-        let mut mem = MemSystem::new(self.cfg.mem.clone());
-        self.run_with(trace, &mut mem)
+        self.replay(trace, &mut SmpMem::new(self.cfg.mem.clone(), 1), None)
     }
 
-    /// Simulates the trace twice over a fresh hierarchy and reports the
-    /// second (warm) pass — the steady-state methodology used for the
-    /// paper's figures.
+    /// Simulates the trace twice over one fresh hierarchy, resetting its
+    /// statistics in between, and reports the second (warm) pass — the
+    /// steady-state methodology used for the paper's figures.
     pub fn run_warm(&self, trace: &Trace) -> TimingStats {
-        let mut mem = MemSystem::new(self.cfg.mem.clone());
-        self.run_with(trace, &mut mem);
+        let mut mem = SmpMem::new(self.cfg.mem.clone(), 1);
+        self.replay(trace, &mut mem, None);
         mem.reset_stats();
-        self.run_with(trace, &mut mem)
+        self.replay(trace, &mut mem, None)
     }
 
     /// Simulates the trace once over a fresh (cold) hierarchy while
@@ -450,48 +455,89 @@ impl OoOCore {
     /// spans and FIFO occupancy timelines — the single-run visualization
     /// hook behind `uve-bench --bin trace`.
     pub fn run_traced(&self, trace: &Trace) -> (TimingStats, EventLog) {
-        let mut mem = MemSystem::new(self.cfg.mem.clone());
+        let mut mem = SmpMem::new(self.cfg.mem.clone(), 1);
         let mut log = EventLog::default();
-        let stats = self.run_inner(trace, &mut mem, Some(&mut log));
+        let stats = self.replay(trace, &mut mem, Some(&mut log));
         log.cycles = stats.cycles;
         (stats, log)
     }
 
-    /// Simulates the trace to completion against an existing memory system
-    /// and returns timing statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation exceeds `max_cycles` (a model bug, not a
-    /// user error).
-    pub fn run_with(&self, trace: &Trace, mem: &mut MemSystem) -> TimingStats {
-        self.run_inner(trace, mem, None)
+    fn replay(&self, trace: &Trace, mem: &mut SmpMem, log: Option<&mut EventLog>) -> TimingStats {
+        lockstep(&self.cfg, &[(trace, Relocation::identity())], mem, 0, log)
+            .expect("one core cannot break the single-writer invariant")
+            .swap_remove(0)
     }
+}
 
-    fn run_inner(
-        &self,
-        trace: &Trace,
-        mem: &mut MemSystem,
-        mut events: Option<&mut EventLog>,
-    ) -> TimingStats {
-        if trace.ops.is_empty() {
-            return TimingStats::empty();
+/// The one timing driver: replays `cores[c].0` on core `c` of `mem`, under
+/// relocation `cores[c].1`, until every trace has committed, and returns
+/// each core's statistics (all zero for an empty trace).
+///
+/// Every live core advances one cycle per global step, in core order,
+/// against its own port into `mem`; a finished core idles. A single-core
+/// replay ([`OoOCore`]) is the one-core case; `uve-smp`'s multicore runs
+/// pass one entry per core. `mem` is not reset, so a second call over the
+/// same hierarchy replays warm. `events`, when given, records core 0.
+///
+/// # Errors
+///
+/// Returns the first single-writer violation found by the full coherence
+/// scan, which runs every `check_every` global cycles (`0`: only at the
+/// end).
+///
+/// # Panics
+///
+/// Panics if `mem` has fewer cores than `cores`, or as
+/// [`CorePipeline::step`] does.
+pub fn lockstep(
+    cfg: &CpuConfig,
+    cores: &[(&Trace, Relocation)],
+    mem: &mut SmpMem,
+    check_every: u64,
+    mut events: Option<&mut EventLog>,
+) -> Result<Vec<TimingStats>, CoherenceViolation> {
+    let mut pipes: Vec<Option<CorePipeline>> = cores
+        .iter()
+        .enumerate()
+        .map(|(c, (t, reloc))| {
+            (!t.ops.is_empty()).then(|| {
+                CorePipeline::new(cfg.clone(), t, c, c == 0 && events.is_some())
+                    .with_relocation(reloc.clone())
+            })
+        })
+        .collect();
+    let mut global: u64 = 0;
+    loop {
+        let mut live = false;
+        for (core, slot) in pipes.iter_mut().enumerate() {
+            if let Some(pipe) = slot.as_mut().filter(|p| !p.finished()) {
+                let log = events.as_deref_mut().filter(|_| core == 0);
+                pipe.step(cores[core].0, &mut mem.port(core), log);
+                live = true;
+            }
         }
-        let mut pipe = CorePipeline::new(self.cfg.clone(), trace, 0, events.is_some());
-        while !pipe.finished() {
-            pipe.step(trace, mem, events.as_deref_mut());
+        if check_every > 0 && global.is_multiple_of(check_every) {
+            mem.check_coherence()?;
         }
-        pipe.finish(mem)
+        if !live {
+            break;
+        }
+        global += 1;
     }
+    mem.check_coherence()?;
+    Ok(pipes
+        .into_iter()
+        .enumerate()
+        .map(|(core, p)| p.map_or_else(TimingStats::default, |p| p.finish(&mem.port(core))))
+        .collect())
 }
 
 /// One core's pipeline state, steppable cycle by cycle.
 ///
-/// [`OoOCore`] drives a single pipeline to completion over a
-/// [`MemSystem`]; the multicore model steps N pipelines in lockstep, each
-/// against its own port into the shared hierarchy. The per-cycle logic is
-/// identical in both cases, so single-core runs are bit-identical to the
-/// pre-refactor model.
+/// [`lockstep`] is the one loop that steps pipelines to completion, one
+/// per core, each against its own port into one [`SmpMem`]; a single-core
+/// replay is its one-core case. `uve-smp`'s multiprogrammed scheduler
+/// steps pipelines itself, since it moves them between cores.
 #[derive(Debug)]
 pub struct CorePipeline {
     cfg: CpuConfig,
@@ -593,7 +639,7 @@ impl CorePipeline {
             free_edge: NIL,
             last_writer: [NO_WRITER; 4 * REGS_PER_CLASS],
             reloc: Relocation::identity(),
-            stats: TimingStats::empty(),
+            stats: TimingStats::default(),
             now: 0,
             mask: ring - 1,
             load_info: vec![(0, 0, false, false); ring],
@@ -664,7 +710,7 @@ impl CorePipeline {
     /// from the memory port.
     pub fn finish<M: MemPort>(mut self, mem: &M) -> TimingStats {
         self.stats.cycles = self.now;
-        self.stats.finalize(mem, &self.engine, &self.predictor);
+        self.stats.finalize(mem, &self.engine);
         self.stats
     }
 

@@ -39,7 +39,7 @@ mod predictor;
 mod stats;
 
 pub use config::CpuConfig;
-pub use core::{CorePipeline, OoOCore};
+pub use core::{lockstep, CorePipeline, OoOCore};
 pub use events::{ChunkSpan, EventLog, FifoPoint, OpSpan};
 pub use predictor::Bimodal;
 pub use stats::{CycleAccount, RenameBlockReason, RenameBlockReasons, TimingStats};

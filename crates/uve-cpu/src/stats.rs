@@ -1,7 +1,6 @@
 //! Timing statistics reported by the out-of-order model — the quantities
 //! the paper's figures are built from.
 
-use crate::predictor::Bimodal;
 use uve_core::engine::{EngineSim, EngineStats};
 use uve_mem::{MemPort, MemStats};
 
@@ -213,11 +212,7 @@ pub struct TimingStats {
 }
 
 impl TimingStats {
-    pub(crate) fn empty() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn finalize<M: MemPort>(&mut self, mem: &M, engine: &EngineSim, _pred: &Bimodal) {
+    pub(crate) fn finalize<M: MemPort>(&mut self, mem: &M, engine: &EngineSim) {
         self.mem = mem.stats();
         self.engine = engine.stats();
         self.bus_utilization = mem.bus_utilization(self.cycles);
@@ -257,12 +252,14 @@ mod tests {
 
     #[test]
     fn derived_metrics() {
-        let mut s = TimingStats::empty();
-        s.cycles = 100;
-        s.committed = 250;
-        s.rename_blocked_cycles = 25;
-        s.branches = 10;
-        s.branch_mispredicts = 1;
+        let s = TimingStats {
+            cycles: 100,
+            committed: 250,
+            rename_blocked_cycles: 25,
+            branches: 10,
+            branch_mispredicts: 1,
+            ..TimingStats::default()
+        };
         assert_eq!(s.ipc(), 2.5);
         assert_eq!(s.rename_blocks_per_cycle(), 0.25);
         assert_eq!(s.mispredict_rate(), 0.1);
@@ -270,7 +267,7 @@ mod tests {
 
     #[test]
     fn zero_cycle_metrics_are_zero() {
-        let s = TimingStats::empty();
+        let s = TimingStats::default();
         assert_eq!(s.ipc(), 0.0);
         assert_eq!(s.rename_blocks_per_cycle(), 0.0);
         assert_eq!(s.mispredict_rate(), 0.0);

@@ -3,7 +3,8 @@
 //! Builds an N-core system out of the single-core pieces:
 //!
 //! - each core is a [`uve_cpu::CorePipeline`] (private L1-D/TLB/stride
-//!   prefetcher plus its own Streaming Engine) stepped cycle by cycle;
+//!   prefetcher plus its own Streaming Engine) stepped cycle by cycle by
+//!   [`uve_cpu::lockstep`], the driver single-core replay also runs on;
 //! - all cores share the L2/AMPM/DRAM through [`uve_mem::SmpMem`], whose
 //!   snoop bus keeps the private L1s MOESI-coherent live — cross-core
 //!   invalidations on writes, `M`/`O` → `S` downgrades with dirty
@@ -42,20 +43,6 @@ mod tests {
             .expect("kernel must run")
             .result
             .trace
-    }
-
-    #[test]
-    fn one_core_lockstep_matches_single_core() {
-        let trace = kernel_trace(&Saxpy::new(512), Flavor::Uve);
-        let cpu = CpuConfig::default();
-        let solo = OoOCore::new(cpu.clone()).run(&trace);
-        let smp = run_lockstep(&cpu, std::slice::from_ref(&trace), 0)
-            .expect("single core cannot violate coherence");
-        assert_eq!(smp.per_core.len(), 1);
-        assert_eq!(smp.per_core[0].cycles, solo.cycles);
-        assert_eq!(smp.per_core[0].committed, solo.committed);
-        assert_eq!(smp.per_core[0].account, solo.account);
-        assert_eq!(smp.per_core[0].account.snoop_wait, 0);
     }
 
     #[test]
@@ -158,7 +145,7 @@ mod tests {
         }
         // UVE flavours commit few dynamic instructions (one op per 16
         // elements), so the quantum must be small to force preemptions.
-        let outcomes = run_round_robin(jobs, 2, 20).expect("schedule must complete");
+        let outcomes = run_round_robin(jobs, 20).expect("schedule must complete");
         for (out, (digest, hash)) in outcomes.iter().zip(&solo) {
             assert!(
                 out.preemptions >= 2,

@@ -79,22 +79,12 @@ impl std::error::Error for SchedError {}
 /// a `quantum`-instruction time slice, returning per-job outcomes in input
 /// order.
 ///
-/// `cores` bounds how many jobs are considered resident at once; it does
-/// not change any architectural result (the jobs are functionally
-/// independent) but mirrors the timing scheduler's slice pattern, so the
-/// two modes preempt at the same program points for equal quanta.
-///
 /// # Errors
 ///
 /// Propagates the first emulation failure, or reports a livelock if the
 /// slice budget (derived from each emulator's own fuel limit) is exhausted.
-pub fn run_round_robin(
-    jobs: Vec<Job>,
-    cores: usize,
-    quantum: u64,
-) -> Result<Vec<JobOutcome>, SchedError> {
+pub fn run_round_robin(jobs: Vec<Job>, quantum: u64) -> Result<Vec<JobOutcome>, SchedError> {
     let quantum = quantum.max(1);
-    let _ = cores;
     let mut slice_budget: u64 = 0;
     for job in &jobs {
         // Each job can take at most fuel/quantum slices before its own

@@ -1,15 +1,17 @@
 //! Lockstep multicore timing simulation and preemptive multiprogramming.
 //!
 //! Both modes step [`CorePipeline`]s cycle by cycle against one shared
-//! [`SmpMem`] hierarchy; coherence between the per-core L1s is maintained
-//! live by the MOESI snoop bus inside `SmpMem`, and can additionally be
-//! audited with a full single-writer cross-product scan every `check_every`
-//! global cycles.
+//! [`SmpMem`] hierarchy: lockstep runs through [`uve_cpu::lockstep`], the
+//! one timing driver, and the multiprogrammed scheduler with a loop of its
+//! own, since it moves programs between cores. Coherence between the
+//! per-core L1s is maintained live by the MOESI snoop bus inside `SmpMem`,
+//! and can additionally be audited with a full single-writer cross-product
+//! scan every `check_every` global cycles.
 
 use crate::shard::shard_relocations;
 use std::collections::VecDeque;
 use uve_core::{Relocation, Trace};
-use uve_cpu::{CorePipeline, CpuConfig, TimingStats};
+use uve_cpu::{lockstep, CorePipeline, CpuConfig, TimingStats};
 use uve_mem::{
     CoherenceViolation, FaultStats, MemPort, MemStats, Path, ReadOutcome, SmpMem, SmpPort,
     SnoopStats, Translation,
@@ -90,17 +92,14 @@ pub struct SmpRun {
     pub bus_transactions: u64,
     /// Makespan: the slowest core's cycle count.
     pub makespan: u64,
-    /// Full coherence scans performed (beyond the per-event verification
-    /// that is always on).
-    pub coherence_scans: u64,
 }
 
 /// Runs one trace per core in lockstep over a shared hierarchy.
 ///
-/// Core `c` executes `traces[c]`; all cores advance one cycle per global
-/// step (finished cores idle). With a single trace the memory model is the
-/// one `OoOCore::run_with` uses (a `MemSystem` is a one-core `SmpMem`), so
-/// only the drivers differ, and the run is cycle-identical to `run_with`.
+/// Core `c` executes `traces[c]` on [`uve_cpu::lockstep`], the one timing
+/// driver, over a fresh `traces.len()`-core [`SmpMem`]; all cores advance
+/// one cycle per global step (finished cores idle). A single trace is the
+/// cold single-core replay, `OoOCore::run`.
 ///
 /// # Errors
 ///
@@ -113,7 +112,7 @@ pub fn run_lockstep(
 ) -> Result<SmpRun, CoherenceViolation> {
     let cores: Vec<(&Trace, Relocation)> =
         traces.iter().map(|t| (t, Relocation::identity())).collect();
-    lockstep(cpu, &cores, check_every)
+    run_cores(cpu, &cores, check_every)
 }
 
 /// Runs `trace` on each of `cores` cores in lockstep, data-parallel: every
@@ -136,81 +135,22 @@ pub fn run_sharded(
         .into_iter()
         .map(|r| (trace, r))
         .collect();
-    lockstep(cpu, &cores, check_every)
+    run_cores(cpu, &cores, check_every)
 }
 
-/// The lockstep loop: core `c` replays `cores[c].0` under relocation
-/// `cores[c].1`.
-fn lockstep(
+/// Core `c` replays `cores[c].0` under relocation `cores[c].1`.
+fn run_cores(
     cpu: &CpuConfig,
     cores: &[(&Trace, Relocation)],
     check_every: u64,
 ) -> Result<SmpRun, CoherenceViolation> {
-    let ncores = cores.len().max(1);
-    let mut mem = SmpMem::new(cpu.mem.clone(), ncores);
-    let mut pipes: Vec<Option<CorePipeline>> = cores
-        .iter()
-        .enumerate()
-        .map(|(c, (t, reloc))| {
-            if t.ops.is_empty() {
-                None
-            } else {
-                Some(CorePipeline::new(cpu.clone(), t, c, false).with_relocation(reloc.clone()))
-            }
-        })
-        .collect();
-    let mut scans = 0;
-    let mut global: u64 = 0;
-    loop {
-        let mut live = false;
-        for (core, slot) in pipes.iter_mut().enumerate() {
-            if let Some(pipe) = slot {
-                if !pipe.finished() {
-                    let mut port = mem.port(core);
-                    pipe.step(cores[core].0, &mut port, None);
-                    live = true;
-                }
-            }
-        }
-        if check_every > 0 && global.is_multiple_of(check_every) {
-            mem.check_coherence()?;
-            scans += 1;
-        }
-        if !live {
-            break;
-        }
-        global += 1;
-    }
-    mem.check_coherence()?;
-    scans += 1;
-    finishup(pipes, &mut mem, scans)
-}
-
-fn finishup(
-    pipes: Vec<Option<CorePipeline>>,
-    mem: &mut SmpMem,
-    coherence_scans: u64,
-) -> Result<SmpRun, CoherenceViolation> {
-    let ncores = mem.cores();
-    let per_core: Vec<TimingStats> = pipes
-        .into_iter()
-        .enumerate()
-        .map(|(core, p)| match p {
-            Some(p) => {
-                let port = mem.port(core);
-                p.finish(&port)
-            }
-            None => TimingStats::default(),
-        })
-        .collect();
-    let snoop = (0..ncores).map(|c| mem.snoop_stats(c)).collect();
-    let makespan = per_core.iter().map(|s| s.cycles).max().unwrap_or(0);
+    let mut mem = SmpMem::new(cpu.mem.clone(), cores.len());
+    let per_core = lockstep(cpu, cores, &mut mem, check_every, None)?;
     Ok(SmpRun {
+        makespan: per_core.iter().map(|s| s.cycles).max().unwrap_or(0),
         per_core,
-        snoop,
+        snoop: (0..mem.cores()).map(|c| mem.snoop_stats(c)).collect(),
         bus_transactions: mem.bus_transactions(),
-        makespan,
-        coherence_scans,
     })
 }
 

@@ -91,7 +91,11 @@ pub struct PointSpec {
     pub exec: ExecMode,
     /// Stream page-fault plan seed (0 = clean).
     pub fault_seed: u64,
-    /// Core count (1 = single-core replay).
+    /// Core count. `1` replays warm, as the figures do: a priming pass,
+    /// then the measured pass over the same hierarchy
+    /// (`OoOCore::run_warm`). `2` or more is one cold sharded pass
+    /// (`run_sharded`), so a row's cycles at 1 and at 2 cores are not
+    /// comparable.
     pub cores: u32,
     /// Physical vector registers (0 = default).
     pub vec_prf: u32,
@@ -110,7 +114,9 @@ pub struct PointSpec {
 pub struct PointRow {
     /// The grid point this row measures.
     pub point: PointSpec,
-    /// Cycles (makespan of the slowest core for multicore points).
+    /// Cycles: the warm pass for a single core, the makespan of the
+    /// slowest core of one cold pass for multicore points (see
+    /// [`PointSpec::cores`]).
     pub cycles: u64,
     /// Committed instructions (summed over cores).
     pub committed: u64,

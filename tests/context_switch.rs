@@ -204,7 +204,7 @@ fn scheduler_preemption_in_indirect_modifier_region_is_invisible() {
     }
     // Quantum 3: cuts land inside the gather's indirect chunk production,
     // not only at chunk boundaries.
-    let outcomes = run_round_robin(jobs, 2, 3).unwrap();
+    let outcomes = run_round_robin(jobs, 3).unwrap();
     for (out, (digest, hash)) in outcomes.iter().zip(&solo) {
         assert!(
             out.preemptions >= 2,
@@ -676,7 +676,7 @@ fn preemption_in_sparse_gather_kernels_is_invisible() {
             emu,
         });
     }
-    let outcomes = run_round_robin(jobs, 2, 3).unwrap();
+    let outcomes = run_round_robin(jobs, 3).unwrap();
     for (out, (digest, hash)) in outcomes.iter().zip(&solo) {
         assert!(
             out.preemptions >= 2,
