@@ -14,9 +14,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== trace arenas: no code outside trace.rs names the vestigial op fields =="
 # An op's registers and access lines live in per-trace arenas, read through
-# `Trace::srcs`, `Trace::dests` and `Trace::mem_lines`. The always-empty
-# `TraceOp` fields of the same names remain only because the benchmark
-# reads them, so any other field access reads nothing.
+# `Trace::srcs`, `Trace::dests` and `Trace::mem_lines`. The `TraceOp`
+# fields of the same names are zero-sized stand-ins that deref to a shared
+# empty `Vec`; they remain only because the benchmark reads their capacity,
+# so any other field access reads nothing. The perfbench self-test build
+# below is what proves the stand-ins still compile where it reads them.
 if grep -rnP --include='*.rs' '\.(srcs|dests|mem_lines)\b(?!\s*\()' crates tests examples src \
     | grep -v '^crates/uve-core/src/trace.rs:'; then
     echo "the vestigial TraceOp fields are named outside crates/uve-core/src/trace.rs"
@@ -123,7 +125,15 @@ echo "== indirect packing: both-mode conform smoke + MAMR-Ind assertion =="
 # Headline JSON: asserts the packed MAMR-Ind speedup vs scalar stays >= 1.0x
 # (the paper-deviation fix this gate exists to protect) and refreshes the
 # checked-in perf-trajectory artifact; fail if the numbers drifted.
-./target/release/fig8 --panel b --quiet --json BENCH_fig8.json > /dev/null
+# The run's peak RSS (`wait4`'s `ru_maxrss`) is printed for reference only
+# and gates nothing.
+python3 -c '
+import os, sys
+pid = os.spawnv(os.P_NOWAIT, sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(f"fig8 --panel b peak RSS: {usage.ru_maxrss / 1024:.0f} MiB", file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+' ./target/release/fig8 --panel b --quiet --json BENCH_fig8.json > /dev/null
 git diff --exit-code -- BENCH_fig8.json
 
 echo "== assembler + DSP/sparse families: asm smoke, family conformance, drift gate =="

@@ -11,6 +11,9 @@
 //! cycle, one extra cycle per descriptor-dimension switch, same-line
 //! coalescing) without re-walking descriptors.
 
+use std::fmt;
+use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::Arc;
 use uve_isa::{Dir, ElemWidth, ExecClass, MemLevel, RegRef};
 use uve_mem::LINE_BYTES;
@@ -70,6 +73,65 @@ pub struct BranchOutcome {
     pub next_pc: u32,
 }
 
+/// A zero-sized stand-in for a `Vec<T>` that is always empty: it derefs to
+/// one shared empty `static` vector per element type, so it costs an op no
+/// bytes and reads as zero length and zero capacity.
+pub struct EmptyVec<T: 'static>(PhantomData<fn() -> T>);
+
+/// An element type with a shared empty vector for [`EmptyVec`] to deref to.
+pub trait EmptyVecElem: Sized + 'static {
+    /// The shared empty vector.
+    fn empty() -> &'static Vec<Self>;
+}
+
+impl EmptyVecElem for RegRef {
+    fn empty() -> &'static Vec<Self> {
+        static EMPTY: Vec<RegRef> = Vec::new();
+        &EMPTY
+    }
+}
+
+impl EmptyVecElem for u64 {
+    fn empty() -> &'static Vec<Self> {
+        static EMPTY: Vec<u64> = Vec::new();
+        &EMPTY
+    }
+}
+
+impl<T: EmptyVecElem> Deref for EmptyVec<T> {
+    type Target = Vec<T>;
+
+    fn deref(&self) -> &Vec<T> {
+        T::empty()
+    }
+}
+
+impl<T> Default for EmptyVec<T> {
+    fn default() -> Self {
+        Self(PhantomData)
+    }
+}
+
+impl<T> Clone for EmptyVec<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for EmptyVec<T> {}
+
+impl<T> PartialEq for EmptyVec<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> fmt::Debug for EmptyVec<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("[]")
+    }
+}
+
 /// One dynamic instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceOp {
@@ -77,17 +139,17 @@ pub struct TraceOp {
     pub pc: u32,
     /// Execution resource class.
     pub exec: ExecClass,
-    /// Always empty: an op's registers and lines live in the trace's
-    /// arenas, read through [`Trace::srcs`], [`Trace::dests`] and
-    /// [`Trace::mem_lines`]. These three fields exist only because the
-    /// benchmark's `perfbench/src/traced.rs` reads them; the compact-record
-    /// change deletes them once the benchmark counts trace memory with
-    /// [`Trace::resident_bytes`].
-    pub srcs: Vec<RegRef>,
-    /// Always empty; see `srcs`.
-    pub dests: Vec<RegRef>,
-    /// Always empty; see `srcs`.
-    pub mem_lines: Vec<u64>,
+    /// Zero-sized and always empty: an op's registers and lines live in
+    /// the trace's arenas, read through [`Trace::srcs`], [`Trace::dests`]
+    /// and [`Trace::mem_lines`]. These three fields exist only because the
+    /// benchmark's `perfbench/src/traced.rs` reads their capacity; the
+    /// compact-record change deletes them once the benchmark counts trace
+    /// memory with [`Trace::resident_bytes`].
+    pub srcs: EmptyVec<RegRef>,
+    /// Zero-sized and always empty; see `srcs`.
+    pub dests: EmptyVec<RegRef>,
+    /// Zero-sized and always empty; see `srcs`.
+    pub mem_lines: EmptyVec<u64>,
     /// First byte address of the access (prefetcher training key uses
     /// `pc`).
     pub mem_addr: u64,
@@ -124,9 +186,9 @@ impl TraceOp {
         Self {
             pc,
             exec,
-            srcs: Vec::new(),
-            dests: Vec::new(),
-            mem_lines: Vec::new(),
+            srcs: EmptyVec::default(),
+            dests: EmptyVec::default(),
+            mem_lines: EmptyVec::default(),
             mem_addr: 0,
             is_store: false,
             branch: None,
@@ -141,12 +203,6 @@ impl TraceOp {
             n_srcs: 0,
             n_dests: 0,
         }
-    }
-
-    /// Capacity of the vestigial `srcs`, `dests` and `mem_lines` fields:
-    /// 0 for every op the emulator records.
-    pub fn vestigial_capacity(&self) -> usize {
-        self.srcs.capacity() + self.dests.capacity() + self.mem_lines.capacity()
     }
 }
 

@@ -576,8 +576,78 @@ pub enum Inst {
     },
 }
 
-/// Fixed-size operand list (at most 5 sources / 2 destinations).
-pub type RegList = Vec<RegRef>;
+/// Fixed-size operand list (at most 5 sources / 2 destinations), held
+/// inline so listing an instruction's operands allocates nothing.
+#[derive(Clone, Copy)]
+pub struct RegList {
+    regs: [RegRef; RegList::CAPACITY],
+    len: u8,
+}
+
+impl RegList {
+    /// Most operands one list holds.
+    const CAPACITY: usize = 5;
+
+    /// An empty list.
+    const fn new() -> Self {
+        Self {
+            regs: [RegRef::x(XReg::ZERO); Self::CAPACITY],
+            len: 0,
+        }
+    }
+
+    /// A list holding `regs`, in order.
+    fn of(regs: &[RegRef]) -> Self {
+        let mut list = Self::new();
+        list.extend(regs.iter().copied());
+        list
+    }
+
+    /// Appends `r`; panics if the list already holds `CAPACITY` operands.
+    fn push(&mut self, r: RegRef) {
+        self.regs[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for RegList {
+    type Target = [RegRef];
+
+    fn deref(&self) -> &[RegRef] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for RegList {
+    type Item = RegRef;
+    type IntoIter = std::iter::Take<std::array::IntoIter<RegRef, { RegList::CAPACITY }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl Extend<RegRef> for RegList {
+    fn extend<I: IntoIterator<Item = RegRef>>(&mut self, iter: I) {
+        for r in iter {
+            self.push(r);
+        }
+    }
+}
+
+impl PartialEq for RegList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for RegList {}
+
+impl fmt::Debug for RegList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 impl Inst {
     /// Architectural destination registers written by this instruction.
@@ -590,7 +660,7 @@ impl Inst {
             | FMac { fd, .. }
             | FUn { fd, .. }
             | FMvFX { fd, .. }
-            | FCvtFX { fd, .. } => vec![RegRef::f(fd)],
+            | FCvtFX { fd, .. } => RegList::of(&[RegRef::f(fd)]),
             FMvXF { rd, .. } | FCvtXF { rd, .. } => nonzero_x(rd),
             Jal { rd, .. } => nonzero_x(rd),
             SsGetVl { rd, .. } | SsSetVl { rd, .. } | IncVl { rd, .. } | CntVl { rd, .. } => {
@@ -603,18 +673,16 @@ impl Inst {
             | VArithVS { vd, .. }
             | VRed { vd, .. }
             | VLoad { vd, .. }
-            | VGather { vd, .. } => vec![RegRef::v(vd)],
-            VMac { vd, .. } | VMacVS { vd, .. } => vec![RegRef::v(vd)],
+            | VGather { vd, .. } => RegList::of(&[RegRef::v(vd)]),
+            VMac { vd, .. } | VMacVS { vd, .. } => RegList::of(&[RegRef::v(vd)]),
             VCmp { pd, .. }
             | PredAlu { pd, .. }
             | PredFromValid { pd, .. }
-            | WhileLt { pd, .. } => {
-                vec![RegRef::p(pd)]
-            }
-            VExtractF { fd, .. } => vec![RegRef::f(fd)],
+            | WhileLt { pd, .. } => RegList::of(&[RegRef::p(pd)]),
+            VExtractF { fd, .. } => RegList::of(&[RegRef::f(fd)]),
             VExtractX { rd, .. } => nonzero_x(rd),
-            VLoadPost { vd, base, .. } => vec![RegRef::v(vd), RegRef::x(base)],
-            VStorePost { base, .. } => vec![RegRef::x(base)],
+            VLoadPost { vd, base, .. } => RegList::of(&[RegRef::v(vd), RegRef::x(base)]),
+            VStorePost { base, .. } => RegList::of(&[RegRef::x(base)]),
             St { .. }
             | Fst { .. }
             | Branch { .. }
@@ -629,7 +697,7 @@ impl Inst {
             | SsBranch { .. }
             | BrPred { .. }
             | VStore { .. }
-            | VScatter { .. } => Vec::new(),
+            | VScatter { .. } => RegList::new(),
         }
     }
 
@@ -641,53 +709,58 @@ impl Inst {
     pub fn srcs(&self) -> RegList {
         use Inst::*;
         match *self {
-            Alu { rs1, rs2, .. } => vec![RegRef::x(rs1), RegRef::x(rs2)],
-            AluImm { rs1, .. } => vec![RegRef::x(rs1)],
-            Lui { .. } => Vec::new(),
-            Ld { base, .. } => vec![RegRef::x(base)],
-            St { src, base, .. } => vec![RegRef::x(src), RegRef::x(base)],
-            Fld { base, .. } => vec![RegRef::x(base)],
-            Fst { src, base, .. } => vec![RegRef::f(src), RegRef::x(base)],
-            FAlu { fs1, fs2, .. } => vec![RegRef::f(fs1), RegRef::f(fs2)],
+            Alu { rs1, rs2, .. } => RegList::of(&[RegRef::x(rs1), RegRef::x(rs2)]),
+            AluImm { rs1, .. } => RegList::of(&[RegRef::x(rs1)]),
+            Lui { .. } => RegList::new(),
+            Ld { base, .. } => RegList::of(&[RegRef::x(base)]),
+            St { src, base, .. } => RegList::of(&[RegRef::x(src), RegRef::x(base)]),
+            Fld { base, .. } => RegList::of(&[RegRef::x(base)]),
+            Fst { src, base, .. } => RegList::of(&[RegRef::f(src), RegRef::x(base)]),
+            FAlu { fs1, fs2, .. } => RegList::of(&[RegRef::f(fs1), RegRef::f(fs2)]),
             FMac { fs1, fs2, fs3, .. } => {
-                vec![RegRef::f(fs1), RegRef::f(fs2), RegRef::f(fs3)]
+                RegList::of(&[RegRef::f(fs1), RegRef::f(fs2), RegRef::f(fs3)])
             }
-            FUn { fs, .. } => vec![RegRef::f(fs)],
-            FMvXF { fs, .. } => vec![RegRef::f(fs)],
-            FMvFX { rs, .. } => vec![RegRef::x(rs)],
-            FCvtFX { rs, .. } => vec![RegRef::x(rs)],
-            FCvtXF { fs, .. } => vec![RegRef::f(fs)],
-            Branch { rs1, rs2, .. } => vec![RegRef::x(rs1), RegRef::x(rs2)],
-            Jal { .. } | Halt | Nop => Vec::new(),
+            FUn { fs, .. } => RegList::of(&[RegRef::f(fs)]),
+            FMvXF { fs, .. } => RegList::of(&[RegRef::f(fs)]),
+            FMvFX { rs, .. } => RegList::of(&[RegRef::x(rs)]),
+            FCvtFX { rs, .. } => RegList::of(&[RegRef::x(rs)]),
+            FCvtXF { fs, .. } => RegList::of(&[RegRef::f(fs)]),
+            Branch { rs1, rs2, .. } => RegList::of(&[RegRef::x(rs1), RegRef::x(rs2)]),
+            Jal { .. } | Halt | Nop => RegList::new(),
             SsStart {
                 base, size, stride, ..
-            } => vec![RegRef::x(base), RegRef::x(size), RegRef::x(stride)],
+            } => RegList::of(&[RegRef::x(base), RegRef::x(size), RegRef::x(stride)]),
             SsApp {
                 offset,
                 size,
                 stride,
                 ..
-            } => vec![RegRef::x(offset), RegRef::x(size), RegRef::x(stride)],
-            SsAppMod { disp, count, .. } => vec![RegRef::x(disp), RegRef::x(count)],
-            SsAppInd { origin, .. } => vec![RegRef::v(origin)],
-            SsCtl { .. } | SsCfgMem { .. } | SsGetVl { .. } => Vec::new(),
-            SsSetVl { rs, .. } => vec![RegRef::x(rs)],
-            PredFromValid { vs, .. } => vec![RegRef::v(vs)],
-            SsBranch { u, .. } => vec![RegRef::v(u)],
+            } => RegList::of(&[RegRef::x(offset), RegRef::x(size), RegRef::x(stride)]),
+            SsAppMod { disp, count, .. } => RegList::of(&[RegRef::x(disp), RegRef::x(count)]),
+            SsAppInd { origin, .. } => RegList::of(&[RegRef::v(origin)]),
+            SsCtl { .. } | SsCfgMem { .. } | SsGetVl { .. } => RegList::new(),
+            SsSetVl { rs, .. } => RegList::of(&[RegRef::x(rs)]),
+            PredFromValid { vs, .. } => RegList::of(&[RegRef::v(vs)]),
+            SsBranch { u, .. } => RegList::of(&[RegRef::v(u)]),
             VDup { src, .. } => dup_src(src),
-            VMv { vs, .. } => vec![RegRef::v(vs)],
-            VUn { vs, pred, .. } => with_pred(vec![RegRef::v(vs)], pred),
-            VArith { vs1, vs2, pred, .. } => with_pred(vec![RegRef::v(vs1), RegRef::v(vs2)], pred),
+            VMv { vs, .. } => RegList::of(&[RegRef::v(vs)]),
+            VUn { vs, pred, .. } => with_pred(RegList::of(&[RegRef::v(vs)]), pred),
+            VArith { vs1, vs2, pred, .. } => {
+                with_pred(RegList::of(&[RegRef::v(vs1), RegRef::v(vs2)]), pred)
+            }
             VArithVS {
                 vs1, scalar, pred, ..
             } => {
-                let mut v = vec![RegRef::v(vs1)];
+                let mut v = RegList::of(&[RegRef::v(vs1)]);
                 v.extend(dup_src(scalar));
                 with_pred(v, pred)
             }
             VMac {
                 vd, vs1, vs2, pred, ..
-            } => with_pred(vec![RegRef::v(vd), RegRef::v(vs1), RegRef::v(vs2)], pred),
+            } => with_pred(
+                RegList::of(&[RegRef::v(vd), RegRef::v(vs1), RegRef::v(vs2)]),
+                pred,
+            ),
             VMacVS {
                 vd,
                 vs1,
@@ -695,44 +768,50 @@ impl Inst {
                 pred,
                 ..
             } => {
-                let mut v = vec![RegRef::v(vd), RegRef::v(vs1)];
+                let mut v = RegList::of(&[RegRef::v(vd), RegRef::v(vs1)]);
                 v.extend(dup_src(scalar));
                 with_pred(v, pred)
             }
-            VRed { vs, pred, .. } => with_pred(vec![RegRef::v(vs)], pred),
-            VCmp { vs1, vs2, .. } => vec![RegRef::v(vs1), RegRef::v(vs2)],
+            VRed { vs, pred, .. } => with_pred(RegList::of(&[RegRef::v(vs)]), pred),
+            VCmp { vs1, vs2, .. } => RegList::of(&[RegRef::v(vs1), RegRef::v(vs2)]),
             PredAlu { op, ps1, ps2, .. } => match op {
-                PredOp::Mov | PredOp::Not => vec![RegRef::p(ps1)],
-                _ => vec![RegRef::p(ps1), RegRef::p(ps2)],
+                PredOp::Mov | PredOp::Not => RegList::of(&[RegRef::p(ps1)]),
+                _ => RegList::of(&[RegRef::p(ps1), RegRef::p(ps2)]),
             },
-            BrPred { p, .. } => vec![RegRef::p(p)],
-            VExtractF { vs, .. } | VExtractX { vs, .. } => vec![RegRef::v(vs)],
+            BrPred { p, .. } => RegList::of(&[RegRef::p(p)]),
+            VExtractF { vs, .. } | VExtractX { vs, .. } => RegList::of(&[RegRef::v(vs)]),
             VLoad {
                 base, index, pred, ..
-            } => with_pred(vec![RegRef::x(base), RegRef::x(index)], pred),
+            } => with_pred(RegList::of(&[RegRef::x(base), RegRef::x(index)]), pred),
             VStore {
                 vs,
                 base,
                 index,
                 pred,
                 ..
-            } => with_pred(vec![RegRef::v(vs), RegRef::x(base), RegRef::x(index)], pred),
+            } => with_pred(
+                RegList::of(&[RegRef::v(vs), RegRef::x(base), RegRef::x(index)]),
+                pred,
+            ),
             VGather {
                 base, idx, pred, ..
-            } => with_pred(vec![RegRef::x(base), RegRef::v(idx)], pred),
+            } => with_pred(RegList::of(&[RegRef::x(base), RegRef::v(idx)]), pred),
             VScatter {
                 vs,
                 base,
                 idx,
                 pred,
                 ..
-            } => with_pred(vec![RegRef::v(vs), RegRef::x(base), RegRef::v(idx)], pred),
-            WhileLt { rs1, rs2, .. } => vec![RegRef::x(rs1), RegRef::x(rs2)],
-            IncVl { rd, .. } => vec![RegRef::x(rd)],
-            CntVl { .. } => Vec::new(),
-            VLoadPost { base, pred, .. } => with_pred(vec![RegRef::x(base)], pred),
+            } => with_pred(
+                RegList::of(&[RegRef::v(vs), RegRef::x(base), RegRef::v(idx)]),
+                pred,
+            ),
+            WhileLt { rs1, rs2, .. } => RegList::of(&[RegRef::x(rs1), RegRef::x(rs2)]),
+            IncVl { rd, .. } => RegList::of(&[RegRef::x(rd)]),
+            CntVl { .. } => RegList::new(),
+            VLoadPost { base, pred, .. } => with_pred(RegList::of(&[RegRef::x(base)]), pred),
             VStorePost { vs, base, pred, .. } => {
-                with_pred(vec![RegRef::v(vs), RegRef::x(base)], pred)
+                with_pred(RegList::of(&[RegRef::v(vs), RegRef::x(base)]), pred)
             }
         }
     }
@@ -839,9 +918,9 @@ impl Inst {
 
 fn nonzero_x(rd: XReg) -> RegList {
     if rd == XReg::ZERO {
-        Vec::new()
+        RegList::new()
     } else {
-        vec![RegRef::x(rd)]
+        RegList::of(&[RegRef::x(rd)])
     }
 }
 
@@ -849,12 +928,12 @@ fn dup_src(s: DupSrc) -> RegList {
     match s {
         DupSrc::X(r) => {
             if r == XReg::ZERO {
-                Vec::new()
+                RegList::new()
             } else {
-                vec![RegRef::x(r)]
+                RegList::of(&[RegRef::x(r)])
             }
         }
-        DupSrc::F(r) => vec![RegRef::f(r)],
+        DupSrc::F(r) => RegList::of(&[RegRef::f(r)]),
     }
 }
 
@@ -898,7 +977,7 @@ mod tests {
         };
         let srcs = i.srcs();
         assert!(srcs.contains(&RegRef::v(VReg::new(2))));
-        assert_eq!(i.dests(), vec![RegRef::v(VReg::new(2))]);
+        assert_eq!(*i.dests(), [RegRef::v(VReg::new(2))]);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //!
 //! Components:
 //!
+//! - [`IntMap`] / [`IntSet`]: maps and sets keyed by small integers under
+//!   the one deterministic [`IntHasher`];
 //! - [`Memory`]: sparse paged byte-addressable functional memory (also a
 //!   [`uve_stream::StreamMemory`], so stream walkers can resolve indirect
 //!   patterns against it);
@@ -43,6 +45,7 @@ mod dram;
 mod fault;
 mod fnv;
 mod hierarchy;
+mod int_hash;
 mod memory;
 mod port;
 mod prefetch;
@@ -55,6 +58,7 @@ pub use dram::{Dram, DramConfig, DramStats};
 pub use fault::{FaultConfig, FaultInjector, FaultLevel, FaultStats};
 pub use fnv::{fnv1a, fnv1a_key, FNV_OFFSET, FNV_PRIME, KEY_PRIME};
 pub use hierarchy::{MemConfig, MemStats, MemSystem, Path, ReadOutcome};
+pub use int_hash::{IntHasher, IntMap, IntSet};
 pub use memory::{Memory, PAGE_SIZE};
 pub use port::MemPort;
 pub use prefetch::{AmpmPrefetcher, PrefetchRequest, StridePrefetcher};

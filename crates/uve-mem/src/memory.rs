@@ -1,42 +1,14 @@
 //! Sparse paged functional memory.
 
 use crate::fnv::{fnv1a, FNV_OFFSET, FNV_PRIME};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::int_hash::IntMap;
 use uve_stream::{ElemWidth, StreamMemory};
 
 /// Page size of the simulated virtual memory, in bytes.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Multiplicative hasher for page numbers. Page lookups sit on the hottest
-/// path of the emulator (every load/store and every stream element goes
-/// through one), where SipHash costs more than the access itself; page
-/// numbers are small dense integers, so a single odd-constant multiply
-/// (Fibonacci hashing) spreads them perfectly well. Deterministic, so map
-/// behaviour never varies between runs (iteration order is never observed:
-/// [`Memory::content_hash`] sorts pages first).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // 2^64 / phi, the classic Fibonacci-hashing constant.
-        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
 type Page = Box<[u8; PAGE_SIZE as usize]>;
-type PageMap = HashMap<u64, Page, BuildHasherDefault<PageHasher>>;
+type PageMap = IntMap<Page>;
 
 /// Page numbers below this go through the direct (vector-indexed) table;
 /// higher ones through the hash map. 1 GiB of address space — everything

@@ -2,15 +2,7 @@
 //! Access-Map Pattern-Matching (AMPM) prefetcher (L2), matching the baseline
 //! configuration of Table I.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-use crate::memory::PageHasher;
-
-/// A map keyed by small integers (PCs, zone numbers) under the
-/// deterministic [`PageHasher`]: cheaper than SipHash, and its iteration
-/// order is the same in every process.
-type IntMap<V> = HashMap<u64, V, BuildHasherDefault<PageHasher>>;
+use crate::int_hash::IntMap;
 
 /// A prefetch suggestion: a line address to bring into the cache.
 pub type PrefetchRequest = u64;

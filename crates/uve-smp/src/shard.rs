@@ -20,10 +20,9 @@
 //! the one shared trace; [`shard_trace`] applies the same relocation to a
 //! copy and remains as the reference.
 
-use std::collections::HashSet;
 use uve_core::{Relocation, Trace};
 use uve_isa::Dir;
-use uve_mem::LINE_BYTES;
+use uve_mem::{IntSet, LINE_BYTES};
 
 /// Distance between per-core private address-space slices, in cache lines
 /// (`1 << 20` lines = 64 MiB). Far larger than any kernel footprint, so
@@ -34,7 +33,7 @@ pub const SHARD_STRIDE_LINES: u64 = 1 << 20;
 /// Cache lines written by the trace — explicit stores and store-stream
 /// chunks — in deterministic first-touch order, deduplicated.
 pub fn written_lines(trace: &Trace) -> Vec<u64> {
-    let mut seen = HashSet::new();
+    let mut seen = IntSet::default();
     let mut out = Vec::new();
     for op in &trace.ops {
         if op.is_store {
