@@ -2,9 +2,12 @@
 //! paper's evaluation (Figs. 8–11, Sec. VI-B/VI-C). Not a Criterion
 //! harness: the output *is* the artifact.
 //!
-//! One shared [`uve_bench::Runner`] serves every figure, so the
-//! sensitivity sweeps reuse the functional traces the Fig. 8 suite already
-//! emulated. `--jobs N`/`--serial`/`--quiet` are honoured.
+//! One shared [`uve_bench::Runner`] serves every figure. Its cache keeps a
+//! trace only while the current figure's job list still needs it (plus the
+//! last one used), so the sensitivity sweeps emulate again the points they
+//! share with Fig. 8 and with each other: 89 emulations in all, 20 more
+//! than a cache that kept every trace would make. `--jobs N`/`--serial`/
+//! `--quiet` are honoured.
 
 fn main() {
     // Criterion passes `--bench`; any other non-flag argument selects a
@@ -17,7 +20,7 @@ fn main() {
             .collect();
         filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()))
     };
-    let runner = uve_bench::Runner::from_args();
+    let runner = uve_bench::Runner::from_cli(&uve_bench::Cli::parse());
     if want("fig8") {
         uve_bench::figures::fig8(None, None, &runner);
     }

@@ -4,9 +4,9 @@
 //! streaming removes).
 //!
 //! Usage: `kernels_table [--jobs N | --serial] [--quiet]`. The table needs
-//! functional traces only (no timing replay), so the runner's trace cache
-//! is warmed in parallel and the rows are then formatted serially in
-//! suite order.
+//! functional traces only (no timing replay): each point's mix is taken
+//! from its trace on the worker pool, which drops the trace after, and the
+//! rows are then formatted serially in suite order.
 
 use uve_bench::{row, Cli, Point, Runner};
 use uve_isa::ExecClass;
@@ -58,17 +58,16 @@ fn main() {
         .iter()
         .flat_map(|b| [Flavor::Uve, Flavor::Scalar].map(|f| Point::new(b.as_ref(), f)))
         .collect();
-    runner.warm_traces(&points);
+    let mixes = runner.with_traces(&points, |_, cached| mix(&cached.trace));
     let code = runner.finish();
     if code != 0 {
-        // A failed emulation leaves its cache slot poisoned; the rows
-        // below would panic on it, so stop at the repro report instead.
+        // A point that failed to emulate has no mix to print; stop at the
+        // repro report instead.
         std::process::exit(code);
     }
-    for (bench, pair) in suite.iter().zip(points.chunks_exact(2)) {
-        let (uve, scalar) = (runner.trace(&pair[0]), runner.trace(&pair[1]));
-        let (umem, ucomp, _) = mix(&uve.trace);
-        let (smem, _, _) = mix(&scalar.trace);
+    let mixes: Vec<_> = mixes.into_iter().map(Result::unwrap).collect();
+    for (bench, pair) in suite.iter().zip(mixes.chunks_exact(2)) {
+        let ((umem, ucomp, _), (smem, _, _)) = (pair[0], pair[1]);
         row(
             bench.name(),
             &[

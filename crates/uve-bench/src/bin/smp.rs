@@ -21,7 +21,9 @@
 //! bit-identical tables (the worker pool only reorders wall-clock time,
 //! results are written back by point index).
 
-use uve_bench::{header, row, Cli, Measured, Point, Runner};
+use std::sync::Arc;
+
+use uve_bench::{header, row, CachedTrace, Cli, Measured, Point, Runner};
 use uve_cpu::CpuConfig;
 use uve_kernels::{Benchmark, Flavor};
 use uve_smp::{relocate_trace, run_multiprogrammed, run_sharded, MpConfig, SmpRun};
@@ -44,21 +46,10 @@ fn main() {
         eprintln!("unknown --mode {mode:?}: expected sharded, mp, or both");
         std::process::exit(2);
     }
-    let cores: Vec<usize> = {
-        let list = cli.list("--cores");
-        if list.is_empty() {
-            vec![1, 2, 4]
-        } else {
-            list.iter()
-                .map(|c| {
-                    c.parse().unwrap_or_else(|_| {
-                        eprintln!("bad --cores entry {c:?}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect()
-        }
-    };
+    let mut cores: Vec<usize> = cli.parsed_list("--cores");
+    if cores.is_empty() {
+        cores = vec![1, 2, 4];
+    }
     // The sharded mode defaults to scalar code: explicit loads/stores run
     // through the private L1s, which is where MOESI sharing lives. Stream
     // (UVE) traffic exercises the snoop bus through the L2 owner-probe
@@ -92,11 +83,14 @@ fn main() {
 
     let cpu = CpuConfig::default();
     let points: Vec<Point> = selected.iter().map(|b| Point::new(*b, flavor)).collect();
-    runner.warm_traces(&points);
+    // The multiprogrammed mode runs every trace at once, so both modes
+    // keep the traces they are handed here.
+    let traces = runner.with_traces(&points, |_, cached| Arc::clone(cached));
     let code = runner.finish();
     if code != 0 {
         std::process::exit(code);
     }
+    let traces: Vec<Arc<CachedTrace>> = traces.into_iter().map(Result::unwrap).collect();
 
     if mode == "sharded" || mode == "both" {
         let cols: Vec<String> = cores
@@ -111,11 +105,10 @@ fn main() {
         // One sweep point per kernel; all core counts inside the point so
         // a row is self-contained.
         let runs: Vec<Vec<SmpRun>> = uve_bench::run_indexed(runner.mode(), selected.len(), |i| {
-            let trace = runner.trace(&points[i]);
             cores
                 .iter()
                 .map(|&n| {
-                    run_sharded(&cpu, &trace.trace, n, shared, check_every)
+                    run_sharded(&cpu, &traces[i].trace, n, shared, check_every)
                         .expect("single-writer MOESI invariant violated")
                 })
                 .collect()
@@ -171,12 +164,12 @@ fn main() {
         let mp_runs = uve_bench::run_indexed(runner.mode(), cores.len(), |i| {
             // Each program gets its own address-space slot, as unrelated
             // processes would; only migration and capacity effects remain.
-            let traces: Vec<_> = points
+            let relocated: Vec<_> = traces
                 .iter()
                 .enumerate()
-                .map(|(slot, p)| relocate_trace(&runner.trace(p).trace, slot))
+                .map(|(slot, t)| relocate_trace(&t.trace, slot))
                 .collect();
-            let refs: Vec<&uve_core::Trace> = traces.iter().collect();
+            let refs: Vec<&uve_core::Trace> = relocated.iter().collect();
             let cfg = MpConfig {
                 cores: cores[i],
                 quantum,

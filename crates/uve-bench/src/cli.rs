@@ -39,10 +39,19 @@ impl Cli {
             .map(String::as_str)
     }
 
-    /// [`Cli::value`] parsed into `T`; `None` if the flag is absent or the
-    /// value does not parse.
+    /// [`Cli::value`] parsed into `T`; `None` if the flag is absent. A
+    /// value that does not parse is a usage error: the process exits with
+    /// code 2 and names the flag, rather than falling back to a default.
     pub fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
-        self.value(flag).and_then(|v| v.parse().ok())
+        self.value(flag).map(|v| parse_or_exit(flag, v))
+    }
+
+    /// [`Cli::list`] with every entry parsed as [`Cli::parsed`] parses.
+    pub fn parsed_list<T: std::str::FromStr>(&self, flag: &str) -> Vec<T> {
+        self.list(flag)
+            .iter()
+            .map(|v| parse_or_exit(flag, v))
+            .collect()
     }
 
     /// Positional (non-flag) arguments, skipping the values of the listed
@@ -80,6 +89,13 @@ impl Cli {
     }
 }
 
+fn parse_or_exit<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("bad {flag} value {v:?}");
+        std::process::exit(2)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +113,44 @@ mod tests {
         assert_eq!(c.parsed::<usize>("--jobs"), Some(4));
         assert_eq!(c.parsed::<usize>("--timeout"), None);
         assert_eq!(c.free(&["--jobs", "--out"]), vec!["saxpy"]);
+    }
+
+    /// Runs in a child copy of this test binary with `UVE_CLI_ARGS` set:
+    /// parses its first flag the way the binaries do, then exits 0.
+    #[test]
+    fn malformed_value_exits_2_naming_the_flag() {
+        const NAME: &str = "cli::tests::malformed_value_exits_2_naming_the_flag";
+        if let Ok(args) = std::env::var("UVE_CLI_ARGS") {
+            let args: Vec<&str> = args.split(' ').collect();
+            if args[0] == "--cores" {
+                cli(&args).parsed_list::<u64>(args[0]);
+            } else {
+                cli(&args).parsed::<u64>(args[0]);
+            }
+            std::process::exit(0);
+        }
+        for (args, code) in [
+            ("--jobs x", 2),
+            ("--timeout x", 2),
+            ("--check-every 6k", 2),
+            ("--check-every 64", 0),
+            ("--cores 1,x", 2),
+            ("--cores 1,2", 0),
+        ] {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", NAME, "--nocapture", "--test-threads", "1"])
+                .env("UVE_CLI_ARGS", args)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{args}: {stderr}");
+            let flag = args.split(' ').next().unwrap();
+            assert_eq!(
+                code == 2,
+                stderr.contains(&format!("bad {flag} value")),
+                "{stderr}"
+            );
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!
 //! Every generator builds its full job list up front and hands it to the
 //! sharded [`Runner`], which spreads the `(kernel, flavor, config)` points
-//! across cores and reuses one functional trace per [`Point`] — the
-//! sensitivity sweeps replay a cached trace under each timing
-//! configuration instead of re-emulating.
+//! across cores and reuses one functional trace per [`Point`] within the
+//! job list — the sensitivity sweeps replay a cached trace under each
+//! timing configuration instead of re-emulating — then drops it after the
+//! list's last job that needs it.
 //! Output is formatted from the returned vector (submission order), so
 //! serial and parallel runs print bit-identical figures.
 
@@ -303,6 +304,36 @@ fn fig8_json(path: &str, runner: &Runner, runs: &[KernelRuns]) {
     );
 }
 
+/// Runs a sensitivity sweep's `jobs`, whose timing variants share
+/// `points` functional points, and checks the trace-reuse invariant.
+fn run_sweep(runner: &Runner, jobs: &[Job], points: usize, what: &str) -> Vec<Measured> {
+    let before = runner.emulations();
+    let results = runner.run(jobs);
+    runner.maybe_explain(&results);
+    assert_trace_reuse(runner, before, points, what);
+    results
+}
+
+/// Prints one row per bench of `results`, which holds each bench's
+/// variants back to back: every variant's speed-up over the bench's
+/// `base`-th variant, to `decimals` places.
+fn speedup_rows(
+    benches: &[Box<dyn Benchmark>],
+    results: &[Measured],
+    base: usize,
+    decimals: usize,
+) {
+    let per_bench = results.len() / benches.len();
+    for (bench, sweep) in benches.iter().zip(results.chunks_exact(per_bench)) {
+        let base = sweep[base].cycles() as f64;
+        let cells: Vec<String> = sweep
+            .iter()
+            .map(|m| format!("{:.decimals$}x", base / m.cycles() as f64))
+            .collect();
+        row(bench.name(), &cells);
+    }
+}
+
 /// Fig. 9 — physical-vector-register sensitivity (UVE flat, SVE gains).
 ///
 /// Each `(kernel, flavor)` point is emulated once; the three PVR
@@ -311,7 +342,6 @@ pub fn fig9(runner: &Runner) {
     let pvrs = [48usize, 64, 96];
     let benches = sensitivity_subset();
     let flavors = [Flavor::Uve, Flavor::Sve];
-    let before = runner.emulations();
     let jobs: Vec<Job> = flavors
         .iter()
         .flat_map(|&flavor| {
@@ -326,25 +356,16 @@ pub fn fig9(runner: &Runner) {
             })
         })
         .collect();
-    let results = runner.run(&jobs);
-    runner.maybe_explain(&results);
-    assert_trace_reuse(runner, before, flavors.len() * benches.len(), "fig9");
-
-    let mut chunks = results.chunks_exact(pvrs.len());
-    for flavor in flavors {
+    let results = run_sweep(runner, &jobs, flavors.len() * benches.len(), "fig9");
+    for (flavor, results) in flavors
+        .iter()
+        .zip(results.chunks_exact(jobs.len() / flavors.len()))
+    {
         header(
             &format!("Fig. 9 — {flavor}: speed-up vs 48 physical vector registers"),
             &["PVR=48", "PVR=64", "PVR=96"],
         );
-        for bench in &benches {
-            let sweep = chunks.next().expect("one sweep per kernel");
-            let base = sweep[0].cycles();
-            let cells: Vec<String> = sweep
-                .iter()
-                .map(|m| format!("{:.2}x", base as f64 / m.cycles() as f64))
-                .collect();
-            row(bench.name(), &cells);
-        }
+        speedup_rows(&benches, results, 0, 2);
     }
 }
 
@@ -360,7 +381,6 @@ pub fn fig10(runner: &Runner) {
     );
     let mut benches = sensitivity_subset();
     benches.insert(1, Box::new(ThreeMm::new(32)));
-    let before = runner.emulations();
     let jobs: Vec<Job> = benches
         .iter()
         .flat_map(|bench| {
@@ -376,26 +396,14 @@ pub fn fig10(runner: &Runner) {
             })
         })
         .collect();
-    let results = runner.run(&jobs);
-    runner.maybe_explain(&results);
-    assert_trace_reuse(runner, before, benches.len(), "fig10");
-    for (bench, sweep) in benches.iter().zip(results.chunks_exact(depths.len())) {
-        let base = sweep[2].cycles() as f64;
-        row(
-            bench.name(),
-            &sweep
-                .iter()
-                .map(|m| format!("{:.2}x", base / m.cycles() as f64))
-                .collect::<Vec<_>>(),
-        );
-    }
+    let results = run_sweep(runner, &jobs, benches.len(), "fig10");
+    speedup_rows(&benches, &results, 2, 2);
 }
 
 /// Fig. 11 — streaming cache-level sensitivity (L2 best overall).
 ///
 /// The stream level changes the functional trace, so each
-/// `(kernel, level)` point is one emulation — but still only one, shared
-/// with any later sweep over the same point.
+/// `(kernel, level)` point is one emulation.
 pub fn fig11(runner: &Runner) {
     let levels = [MemLevel::L1, MemLevel::L2, MemLevel::Mem];
     header(
@@ -404,7 +412,6 @@ pub fn fig11(runner: &Runner) {
     );
     let benches = sensitivity_subset();
     let cpu = CpuConfig::default();
-    let before = runner.emulations();
     let jobs: Vec<Job> = benches
         .iter()
         .flat_map(|bench| {
@@ -417,19 +424,8 @@ pub fn fig11(runner: &Runner) {
             })
         })
         .collect();
-    let results = runner.run(&jobs);
-    runner.maybe_explain(&results);
-    assert_trace_reuse(runner, before, benches.len() * levels.len(), "fig11");
-    for (bench, sweep) in benches.iter().zip(results.chunks_exact(levels.len())) {
-        let base = sweep[1].cycles() as f64;
-        row(
-            bench.name(),
-            &sweep
-                .iter()
-                .map(|m| format!("{:.2}x", base / m.cycles() as f64))
-                .collect::<Vec<_>>(),
-        );
-    }
+    let results = run_sweep(runner, &jobs, benches.len() * levels.len(), "fig11");
+    speedup_rows(&benches, &results, 1, 2);
 }
 
 /// Sec. VI-B — Stream Processing Module count sensitivity (<0.1% changes).
@@ -440,7 +436,6 @@ pub fn modules(runner: &Runner) {
         &["m=2", "m=4", "m=8"],
     );
     let benches = sensitivity_subset();
-    let before = runner.emulations();
     let jobs: Vec<Job> = benches
         .iter()
         .flat_map(|bench| {
@@ -456,19 +451,8 @@ pub fn modules(runner: &Runner) {
             })
         })
         .collect();
-    let results = runner.run(&jobs);
-    runner.maybe_explain(&results);
-    assert_trace_reuse(runner, before, benches.len(), "modules");
-    for (bench, sweep) in benches.iter().zip(results.chunks_exact(counts.len())) {
-        let base = sweep[0].cycles() as f64;
-        row(
-            bench.name(),
-            &sweep
-                .iter()
-                .map(|m| format!("{:.4}x", base / m.cycles() as f64))
-                .collect::<Vec<_>>(),
-        );
-    }
+    let results = run_sweep(runner, &jobs, benches.len(), "modules");
+    speedup_rows(&benches, &results, 0, 4);
 }
 
 /// Sec. VI-C — hardware storage inventory.

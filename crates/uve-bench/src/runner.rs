@@ -8,11 +8,13 @@
 //! [`Point`], replayed under N timing configurations — not N
 //! re-emulations.
 //!
-//! Two mechanisms deliver that:
+//! Two pieces deliver that:
 //!
 //! - a [`TraceKey`]-indexed cache of emulated traces, with per-key
 //!   once-initialization so concurrent workers never emulate the same
-//!   point twice (an emulation counter makes this assertable);
+//!   point twice (an emulation counter makes this assertable), that keeps
+//!   a trace only while a job of a submitted batch needs it or while it is
+//!   the most recently looked-up key ([`Runner::with_traces`]);
 //! - the std-only scoped worker pool of [`crate::pool`], whose
 //!   [`run_isolated`] runs every job under panic isolation and a
 //!   cooperative deadline, one worker per core by default
@@ -27,7 +29,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::pool::run_isolated;
@@ -198,26 +200,93 @@ pub fn replay(name: &str, flavor: Flavor, cached: &CachedTrace, cpu: &CpuConfig)
     }
 }
 
+/// A cached trace and the number of submitted jobs that still need it.
+#[derive(Default)]
+struct Slot {
+    trace: Arc<OnceLock<Arc<CachedTrace>>>,
+    pending: usize,
+}
+
+/// The cache's one retention rule: a slot lives while a submitted job
+/// needs it or while its key is `last`, the most recently looked up.
+#[derive(Default)]
+struct Slots {
+    map: HashMap<TraceKey, Slot>,
+    last: Option<TraceKey>,
+}
+
+impl Slots {
+    /// Drops `key`'s slot, and with it the cache's `Arc`, once the rule no
+    /// longer holds it.
+    fn evict_if_idle(&mut self, key: &TraceKey) {
+        if self.last.as_ref() != Some(key) && self.map.get(key).is_some_and(|s| s.pending == 0) {
+            self.map.remove(key);
+        }
+    }
+}
+
 #[derive(Default)]
 struct TraceCache {
-    map: Mutex<HashMap<TraceKey, Arc<OnceLock<Arc<CachedTrace>>>>>,
+    slots: Mutex<Slots>,
     emulations: AtomicU64,
+    /// Host time spent emulating, summed over workers.
+    emulation_nanos: AtomicU64,
 }
 
 impl TraceCache {
-    /// Returns the trace of `point`, emulating at most once per key even
-    /// under concurrent lookups (late arrivals block on the key's
-    /// `OnceLock` instead of re-emulating).
-    fn get(&self, point: &Point<'_>) -> Arc<CachedTrace> {
+    /// Every update leaves `Slots` valid, so a guard poisoned by another
+    /// thread's panic is still sound to use (and `Claim::drop` must not
+    /// panic).
+    fn slots(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts one pending job per entry of `keys`.
+    fn submit(&self, keys: &[TraceKey]) {
+        let mut slots = self.slots();
+        for key in keys {
+            slots.map.entry(key.clone()).or_default().pending += 1;
+        }
+    }
+
+    fn release(&self, key: &TraceKey) {
+        let mut slots = self.slots();
+        if let Some(slot) = slots.map.get_mut(key) {
+            slot.pending -= 1;
+        }
+        slots.evict_if_idle(key);
+    }
+
+    /// Returns the trace of `point` (key `key`), emulating it at most once
+    /// while resident (late arrivals block on the key's `OnceLock`). The
+    /// pin moves first, so an idle previous trace is gone before this one
+    /// emulates.
+    fn get(&self, key: &TraceKey, point: &Point<'_>) -> Arc<CachedTrace> {
         let cell = {
-            let mut map = self.map.lock().expect("trace cache poisoned");
-            Arc::clone(map.entry(point.key()).or_default())
+            let mut slots = self.slots();
+            if let Some(previous) = slots.last.replace(key.clone()).filter(|p| p != key) {
+                slots.evict_if_idle(&previous);
+            }
+            Arc::clone(&slots.map.entry(key.clone()).or_default().trace)
         };
-        let trace = cell.get_or_init(|| {
+        Arc::clone(cell.get_or_init(|| {
             self.emulations.fetch_add(1, Ordering::Relaxed);
-            Arc::new(point.emulate())
-        });
-        Arc::clone(trace)
+            let t0 = Instant::now();
+            let trace = point.emulate();
+            let nanos = t0.elapsed().as_nanos() as u64;
+            self.emulation_nanos.fetch_add(nanos, Ordering::Relaxed);
+            Arc::new(trace)
+        }))
+    }
+}
+
+/// A submitted job's claim on its key, released on drop: when the job
+/// returns, panics or times out.
+struct Claim<'c>(&'c TraceCache, &'c TraceKey);
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.0.release(self.1);
     }
 }
 
@@ -296,25 +365,13 @@ impl Runner {
         }
     }
 
-    /// A parallel runner with one worker per available core.
-    pub fn auto() -> Self {
-        Self::parallel(default_jobs())
-    }
-
-    /// Builds a runner from process arguments: `--serial` forces the
-    /// sequential baseline, `--jobs N` sets the worker count, `--quiet`
+    /// Builds a runner from parsed process arguments: `--serial` forces
+    /// the sequential baseline, `--jobs N` sets the worker count, `--quiet`
     /// silences per-job wall-clock reporting, `--explain` appends the
     /// cycle-attribution report to every figure, `--timeout SECS` sets the
     /// per-job wall-clock budget (0 disables it; default 600 s). Default:
-    /// one worker per core, reporting on, no explain.
-    /// Unrecognized arguments are ignored so the figure binaries can keep
-    /// their own flags.
-    pub fn from_args() -> Self {
-        Self::from_cli(&crate::Cli::parse())
-    }
-
-    /// [`Runner::from_args`] over an already-parsed [`Cli`](crate::Cli) —
-    /// for binaries that also read their own flags from the same parse.
+    /// one worker per core, reporting on, no explain. Other arguments are
+    /// left to the binary.
     pub fn from_cli(cli: &crate::Cli) -> Self {
         let mut runner = if cli.has("--serial") {
             Self::serial()
@@ -378,10 +435,11 @@ impl Runner {
         self.cache.emulations.load(Ordering::Relaxed)
     }
 
-    /// The cached trace of `point`, emulating it on first use (shared with
-    /// jobs run later).
+    /// The trace of `point`, emulating it unless it is resident: a batch
+    /// of one that moves the last-used pin, so the trace stays cached
+    /// until another key is looked up.
     pub fn trace(&self, point: &Point<'_>) -> Arc<CachedTrace> {
-        self.cache.get(point)
+        self.cache.get(&point.key(), point)
     }
 
     /// [`Runner::trace`] with the point's fields spelled out. `_exec` is
@@ -406,24 +464,41 @@ impl Runner {
         })
     }
 
-    /// Warms the trace cache for `points` using the worker pool; later
-    /// [`Runner::trace`]/[`Runner::run`] calls on the same points are pure
-    /// cache hits.
+    /// Maps `f(i, trace)` over the traces of `points` on the worker pool
+    /// and returns the results **in submission order**.
     ///
-    /// Each emulation runs under the same panic isolation and deadline as
-    /// a sweep job: a point that fails to emulate is recorded in
-    /// [`Runner::failures`] instead of taking the warm-up down. Callers
-    /// that go on to use [`Runner::trace`] directly should bail out first
-    /// if [`Runner::finish`] reports failures.
-    pub fn warm_traces(&self, points: &[Point<'_>]) {
+    /// The batch counts each key's items up front, so every trace is
+    /// emulated at most once and dropped after its last item (unless it
+    /// is the last-used key). Each item, its emulation included, runs
+    /// under the same panic isolation and deadline: an item that fails is
+    /// `Err(reason)` in its slot and is recorded in [`Runner::failures`],
+    /// and the rest of the batch keeps running.
+    pub fn with_traces<T, F>(&self, points: &[Point<'_>], f: F) -> Vec<Result<T, String>>
+    where
+        T: Send,
+        F: Fn(usize, &Arc<CachedTrace>) -> T + Sync,
+    {
+        let keys: Vec<TraceKey> = points.iter().map(Point::key).collect();
+        self.cache.submit(&keys);
         let outcomes = run_isolated(self.mode, points.len(), self.timeout, |i| {
-            self.cache.get(&points[i]);
+            let _claim = Claim(&self.cache, &keys[i]);
+            f(i, &self.cache.get(&keys[i], &points[i]))
         });
-        for (i, outcome) in outcomes.into_iter().enumerate() {
+        for (index, outcome) in outcomes.iter().enumerate() {
             if let Err(reason) = outcome {
-                self.fail("warm", i, &points[i], reason);
+                let failure = JobFailure {
+                    index,
+                    key: keys[index].clone(),
+                    reason: reason.clone(),
+                };
+                eprintln!("[job {index:>3}] FAILED: {}", failure.repro());
+                self.failures
+                    .lock()
+                    .expect("failure log poisoned")
+                    .push(failure);
             }
         }
+        outcomes
     }
 
     /// Runs every job and returns the measurements **in submission order**,
@@ -434,13 +509,18 @@ impl Runner {
     /// (`"<kernel> [FAILED]"` with zeroed stats, which trivially satisfies
     /// the conservation laws) and is recorded in [`Runner::failures`] —
     /// the rest of the sweep keeps running and the figure still renders.
+    /// With reporting on, each job's line times its replay; the summary's
+    /// aggregate adds the batch's emulation time.
     pub fn run(&self, jobs: &[Job<'_>]) -> Vec<Measured> {
         let t0 = Instant::now();
+        let before = self.emulations();
+        let emulating = self.cache.emulation_nanos.load(Ordering::Relaxed);
         let job_nanos = AtomicU64::new(0);
-        let outcomes = run_isolated(self.mode, jobs.len(), self.timeout, |i| {
+        let points: Vec<Point> = jobs.iter().map(|job| job.point).collect();
+        let outcomes = self.with_traces(&points, |i, cached| {
             let Job { point, cpu } = &jobs[i];
             let jt = Instant::now();
-            let m = replay(point.bench.name(), point.flavor, &self.trace(point), cpu);
+            let m = replay(point.bench.name(), point.flavor, cached, cpu);
             let elapsed = jt.elapsed();
             job_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
             if self.verbose {
@@ -455,7 +535,8 @@ impl Runner {
         });
 
         let wall = t0.elapsed().as_secs_f64();
-        let agg = job_nanos.load(Ordering::Relaxed) as f64 * 1e-9;
+        let emulating = self.cache.emulation_nanos.load(Ordering::Relaxed) - emulating;
+        let agg = (job_nanos.load(Ordering::Relaxed) + emulating) as f64 * 1e-9;
         if self.verbose && !jobs.is_empty() {
             let workers = match self.mode {
                 RunMode::Serial => 1,
@@ -466,40 +547,21 @@ impl Runner {
                  {agg:.2} s aggregate ({:.2}x), {} emulation(s)",
                 jobs.len(),
                 if wall > 0.0 { agg / wall } else { 1.0 },
-                self.emulations(),
+                self.emulations() - before,
             );
         }
         outcomes
             .into_iter()
             .zip(jobs)
-            .enumerate()
-            .map(|(i, (outcome, job))| {
-                outcome.unwrap_or_else(|reason| {
-                    self.fail("job", i, &job.point, reason);
-                    Measured {
-                        name: format!("{} [FAILED]", job.point.bench.name()),
-                        flavor: job.point.flavor,
-                        committed: 0,
-                        stats: uve_cpu::TimingStats::default(),
-                    }
+            .map(|(outcome, job)| {
+                outcome.unwrap_or_else(|_| Measured {
+                    name: format!("{} [FAILED]", job.point.bench.name()),
+                    flavor: job.point.flavor,
+                    committed: 0,
+                    stats: uve_cpu::TimingStats::default(),
                 })
             })
             .collect()
-    }
-
-    /// Records (and reports on stderr) the failure of item `index` of a
-    /// `what` batch at `point`.
-    fn fail(&self, what: &str, index: usize, point: &Point<'_>, reason: String) {
-        let failure = JobFailure {
-            index,
-            key: point.key(),
-            reason,
-        };
-        eprintln!("[{what} {index:>3}] FAILED: {}", failure.repro());
-        self.failures
-            .lock()
-            .expect("failure log poisoned")
-            .push(failure);
     }
 
     /// The failures collected so far, in job-index order within each batch.
@@ -560,6 +622,93 @@ mod tests {
         assert_eq!(runner.emulations(), 1, "one kernel point → one emulation");
         // Identical CPU configs must give identical cycle counts.
         assert_eq!(out[0].stats.cycles, out[3].stats.cycles);
+    }
+
+    /// The resident cache slots as `(kernel, flavor, pending jobs)`.
+    fn resident(runner: &Runner) -> Vec<(&'static str, Flavor, usize)> {
+        let slots = runner.cache.slots();
+        let mut out: Vec<_> = slots
+            .map
+            .iter()
+            .map(|(k, s)| (k.kernel, k.flavor, s.pending))
+            .collect();
+        out.sort_by_key(|&(kernel, flavor, _)| (kernel, flavor.to_string()));
+        out
+    }
+
+    #[test]
+    fn batch_keeps_only_the_last_used_trace() {
+        let (saxpy, memcpy) = (Saxpy::new(256), uve_kernels::memcpy::Memcpy::new(256));
+        let points = [
+            Point::new(&saxpy, Flavor::Uve),
+            Point::new(&saxpy, Flavor::Uve),
+            Point::new(&memcpy, Flavor::Scalar),
+            Point::new(&saxpy, Flavor::Scalar),
+        ];
+        for runner in [Runner::serial(), Runner::parallel(3)] {
+            let weak: Vec<_> = runner
+                .with_traces(&points, |_, cached| Arc::downgrade(cached))
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            assert_eq!(runner.emulations(), 3, "one emulation per key");
+            let slots = resident(&runner);
+            assert_eq!(slots.len(), 1, "only the last-used key stays: {slots:?}");
+            let (kernel, flavor, pending) = slots[0];
+            assert_eq!(pending, 0, "no job still pinned");
+            let alive: Vec<usize> = (0..points.len())
+                .filter(|&i| weak[i].upgrade().is_some())
+                .collect();
+            assert!(!alive.is_empty(), "the last-used trace is alive");
+            for &i in &alive {
+                assert_eq!((points[i].bench.name(), points[i].flavor), (kernel, flavor));
+            }
+            if runner.mode() == RunMode::Serial {
+                assert_eq!(alive, [3]);
+            }
+
+            // A direct lookup is a batch of one: it moves the pin, dropping
+            // the batch's last trace, and stays resident itself.
+            let direct = Point::new(&memcpy, Flavor::Uve);
+            let kept = Arc::downgrade(&runner.trace(&direct));
+            assert!(weak.iter().all(|w| w.upgrade().is_none()));
+            assert_eq!(resident(&runner), [("Memcpy", Flavor::Uve, 0)]);
+            assert!(kept.upgrade().is_some());
+            runner.trace(&direct);
+            assert_eq!(runner.emulations(), 4, "the pinned trace is reused");
+        }
+    }
+
+    #[test]
+    fn failed_and_timed_out_jobs_release_their_pins() {
+        let good = Saxpy::new(4096);
+        let bad = PoisonedBench(Saxpy::new(256));
+        let cpu = CpuConfig::default();
+        let poisoned = [
+            Job::new(&bad, Flavor::Uve, cpu.clone()),
+            Job::new(&good, Flavor::Uve, cpu.clone()),
+            Job::new(&bad, Flavor::Uve, cpu.clone()),
+            Job::new(&good, Flavor::Scalar, cpu.clone()),
+        ];
+        let runner = Runner::parallel(2).verbose(false);
+        runner.run(&poisoned);
+        assert_eq!(runner.failures().len(), 2);
+        let slots = resident(&runner);
+        assert_eq!(slots.len(), 1, "{slots:?}");
+        assert_eq!(slots[0].2, 0, "a poisoned job must not stay pinned");
+
+        let timed_out = Runner::serial()
+            .verbose(false)
+            .timeout(Some(Duration::from_nanos(1)));
+        timed_out.run(&poisoned[1..]);
+        let failures = timed_out.failures();
+        assert_eq!(failures.len(), 3);
+        assert!(failures[0].is_timeout(), "{}", failures[0].reason);
+        assert_eq!(
+            resident(&timed_out),
+            [("SAXPY", Flavor::Scalar, 0)],
+            "timed-out jobs must not stay pinned"
+        );
     }
 
     #[test]

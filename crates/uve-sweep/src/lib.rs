@@ -21,13 +21,13 @@
 //! observable through the `emulations` counter carried in
 //! [`SweepStats`](spec::SweepStats).
 //!
-//! Each worker keeps one functional trace resident (`PointRunner`):
-//! canonical order puts a functional point's timing variants back to
-//! back, so they share one emulation, and the next functional point
-//! drops the trace before emulating its own. Worker memory stays at one
-//! trace however long the service runs; a later sweep that asks for new
-//! timing points of an already-finished functional point emulates it
-//! again.
+//! Each worker keeps one functional trace resident: its
+//! [`Runner`](uve_bench::Runner)'s trace cache holds the trace last looked
+//! up. Canonical order puts a functional point's timing variants back to
+//! back, so they share one emulation, and the next functional point drops
+//! the trace before emulating its own. Worker memory stays at one trace
+//! however long the service runs; a later sweep that asks for new timing
+//! points of an already-finished functional point emulates it again.
 //!
 //! The service is additionally **crash-safe** (PR 9): the cache can run
 //! durably over a checksummed write-ahead log with checkpoint snapshots

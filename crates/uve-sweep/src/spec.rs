@@ -623,12 +623,12 @@ pub fn job_key(point: &PointSpec) -> Result<u64, String> {
 
 // --- execution ---------------------------------------------------------
 
-/// Evaluates one grid point on `runner` (whose trace cache makes repeated
-/// points over the same functional trace cheap). This is the **only**
-/// executor in the service: workers and [`run_serial`] — the determinism
-/// baseline — both call it through a `PointRunner`, so the two can only
-/// ever differ if scheduling leaked into the model (which the
-/// integration tests exist to rule out).
+/// Evaluates one grid point on `runner`, whose trace cache keeps the last
+/// functional trace looked up, so consecutive points over one trace
+/// emulate it once. This is the **only** executor in the service: workers
+/// and [`run_serial`] — the determinism baseline — both call it, so the
+/// two can only ever differ if scheduling leaked into the model (which
+/// the integration tests exist to rule out).
 ///
 /// # Errors
 ///
@@ -689,74 +689,25 @@ pub fn run_point(runner: &Runner, point: &PointSpec) -> Result<PointRow, String>
     })
 }
 
-/// Runs grid points through [`run_point`] with at most one functional
-/// trace resident.
-///
-/// Canonical order nests the timing axes (cores, PRF, FIFO depth)
-/// innermost, so a grid's points over one trace arrive back to back. The
-/// runner keeps a [`Runner`] for the current functional point only; the
-/// first point of a new one replaces it, dropping the old trace before
-/// the next emulation. A long-lived worker therefore holds one trace, not
-/// every trace it has ever replayed. The price: points that return to a
-/// functional point after another one ran in between emulate it again,
-/// which [`PointRunner::emulations`] counts.
-#[derive(Default)]
-pub(crate) struct PointRunner {
-    /// The current functional point (its timing fields cleared) and the
-    /// runner holding its trace.
-    current: Option<(PointSpec, Runner)>,
-    /// Emulations of the runners already replaced.
-    retired: u64,
-}
-
-impl PointRunner {
-    /// Evaluates `point`, first replacing the resident trace if `point`
-    /// needs a different one.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_point`].
-    pub(crate) fn run(&mut self, point: &PointSpec) -> Result<PointRow, String> {
-        let key = PointSpec {
-            cores: 0,
-            vec_prf: 0,
-            fifo_depth: 0,
-            ..point.clone()
-        };
-        if self.current.as_ref().map(|(k, _)| k) != Some(&key) {
-            if let Some((_, old)) = self.current.take() {
-                self.retired += old.emulations();
-            }
-            self.current = Some((key, Runner::serial().verbose(false)));
-        }
-        let (_, runner) = self.current.as_ref().expect("runner installed above");
-        run_point(runner, point)
-    }
-
-    /// Functional emulations performed so far.
-    pub(crate) fn emulations(&self) -> u64 {
-        self.retired + self.current.as_ref().map_or(0, |(_, r)| r.emulations())
-    }
-}
-
 /// The determinism baseline: runs the whole grid serially, in canonical
-/// order, on one `PointRunner`. Any sweep's merged output must be
+/// order, on one [`Runner`]. Any sweep's merged output must be
 /// bit-identical to this, whatever the worker count, request
 /// interleaving, cache temperature, or crash history.
 ///
 /// Returns the rows plus the number of fresh functional emulations the
 /// serial runner performed: one per functional point, because canonical
-/// order keeps each point's jobs together.
+/// order keeps each point's jobs together and the runner keeps the last
+/// trace it looked up.
 ///
 /// # Errors
 ///
 /// Propagates validation and execution failures.
 pub fn run_serial(spec: &SweepSpec) -> Result<(Vec<PointRow>, u64), String> {
-    let mut runner = PointRunner::default();
+    let runner = Runner::serial().verbose(false);
     let rows = spec
         .points()?
         .iter()
-        .map(|p| runner.run(p))
+        .map(|p| run_point(&runner, p))
         .collect::<Result<Vec<_>, _>>()?;
     Ok((rows, runner.emulations()))
 }
@@ -1030,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn point_runner_keeps_one_trace_resident() {
+    fn runner_keeps_one_trace_resident() {
         let memcpy = PointSpec {
             small: true,
             kernel: "memcpy".to_string(),
@@ -1043,37 +994,34 @@ mod tests {
             vec_prf: 0,
             fifo_depth: 0,
         };
-        let mut runner = PointRunner::default();
-        runner.run(&memcpy).unwrap();
+        let runner = Runner::serial().verbose(false);
+        run_point(&runner, &memcpy).unwrap();
         assert_eq!(runner.emulations(), 1);
         let resident = {
-            let (_, r) = runner.current.as_ref().unwrap();
             let bench = resolve("memcpy", true).unwrap();
-            let trace = r.trace(&memcpy.functional(bench.as_ref()));
+            let trace = runner.trace(&memcpy.functional(bench.as_ref()));
             std::sync::Arc::downgrade(&trace)
         };
         assert_eq!(runner.emulations(), 1, "the lookup above was a hit");
 
         // Other timing points of the same functional point reuse it.
         for (cores, fifo_depth) in [(2, 0), (1, 4)] {
-            runner
-                .run(&PointSpec {
-                    cores,
-                    fifo_depth,
-                    ..memcpy.clone()
-                })
-                .unwrap();
+            let point = PointSpec {
+                cores,
+                fifo_depth,
+                ..memcpy.clone()
+            };
+            run_point(&runner, &point).unwrap();
         }
         assert_eq!(runner.emulations(), 1, "timing points never emulate");
         assert!(resident.upgrade().is_some());
 
         // A new functional point drops the old trace and emulates once.
-        runner
-            .run(&PointSpec {
-                kernel: "saxpy".to_string(),
-                ..memcpy.clone()
-            })
-            .unwrap();
+        let saxpy = PointSpec {
+            kernel: "saxpy".to_string(),
+            ..memcpy.clone()
+        };
+        run_point(&runner, &saxpy).unwrap();
         assert!(resident.upgrade().is_none(), "old trace dropped");
         assert_eq!(runner.emulations(), 2);
     }

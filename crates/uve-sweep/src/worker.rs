@@ -6,15 +6,16 @@
 //! [`uve_bench::isolated`]: panic isolation around the executor plus a
 //! cooperative wall-clock deadline ([`uve_core::deadline`]), so a poisoned
 //! grid point or a wedged model becomes a reported failure, never a hung
-//! or dead worker. The worker runs jobs on a `PointRunner`, which keeps
-//! one functional trace resident: consecutive jobs over the same
-//! functional point (canonical order puts them back to back) replay it,
-//! and the first job of another point drops it before emulating its own.
-//! A long-running worker's memory is therefore bounded by one trace, at
-//! the price of emulating a point again if a later sweep asks for new
-//! timing points of it. The worker reports the *fresh* emulation count of
-//! every job so the coordinator can account service-wide emulation work
-//! (the "second identical sweep re-emulates nothing" observable).
+//! or dead worker. The worker runs jobs on one [`Runner`], whose trace
+//! cache keeps the last functional trace looked up: consecutive jobs over
+//! the same functional point (canonical order puts them back to back)
+//! replay it, and the first job of another point drops it before emulating
+//! its own. A long-running worker's memory is therefore bounded by one
+//! trace, at the price of emulating a point again if a later sweep asks
+//! for new timing points of it. The worker reports the *fresh* emulation
+//! count of every job so the coordinator can account service-wide
+//! emulation work (the "second identical sweep re-emulates nothing"
+//! observable).
 //!
 //! Hostility knobs ([`WorkerOptions::die_after`],
 //! [`WorkerOptions::panic_on`]) exist for the crash-recovery tests: they
@@ -27,8 +28,8 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use crate::messages::{read_msg, write_msg, Msg, PROTOCOL_VERSION};
-use crate::spec::{PointRow, PointRunner, PointSpec, DEFAULT_WORKER_JOB_TIMEOUT};
-use uve_bench::isolated;
+use crate::spec::{run_point, PointRow, PointSpec, DEFAULT_WORKER_JOB_TIMEOUT};
+use uve_bench::{isolated, Runner};
 
 /// Configuration for one worker process (or in-process worker thread).
 #[derive(Debug, Clone)]
@@ -68,7 +69,7 @@ impl Default for WorkerOptions {
 /// Runs one job under [`isolated`] with the worker's job budget, exactly
 /// the isolation the evaluation runner's pool applies.
 fn run_isolated_point(
-    runner: &mut PointRunner,
+    runner: &Runner,
     point: &PointSpec,
     opts: &WorkerOptions,
 ) -> Result<PointRow, String> {
@@ -80,7 +81,7 @@ fn run_isolated_point(
                 point.kernel
             );
         }
-        runner.run(point)
+        run_point(runner, point)
     })
     .and_then(|row| row)
 }
@@ -92,7 +93,7 @@ fn run_isolated_point(
 /// worker's exit message); the inner `Result` is the job's own outcome.
 fn run_with_heartbeats(
     stream: &mut TcpStream,
-    runner: &mut PointRunner,
+    runner: &Runner,
     job: u64,
     point: &PointSpec,
     opts: &WorkerOptions,
@@ -138,7 +139,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
         },
     )
     .map_err(|e| format!("hello: {e}"))?;
-    let mut runner = PointRunner::default();
+    let runner = Runner::serial().verbose(false);
     let mut jobs_seen = 0u64;
     loop {
         let msg = match read_msg(&mut stream) {
@@ -158,8 +159,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
                     return Ok(());
                 }
                 let before = runner.emulations();
-                let reply = match run_with_heartbeats(&mut stream, &mut runner, job, &point, opts)?
-                {
+                let reply = match run_with_heartbeats(&mut stream, &runner, job, &point, opts)? {
                     Ok(row) => Msg::JobOk {
                         job,
                         row,
@@ -207,15 +207,15 @@ mod tests {
 
     #[test]
     fn poisoned_job_is_caught_not_fatal() {
-        let mut runner = PointRunner::default();
+        let runner = Runner::serial().verbose(false);
         let opts = WorkerOptions {
             panic_on: Some("saxpy".to_string()),
             ..WorkerOptions::default()
         };
-        let err = run_isolated_point(&mut runner, &point("SAXPY"), &opts).unwrap_err();
+        let err = run_isolated_point(&runner, &point("SAXPY"), &opts).unwrap_err();
         assert!(err.contains("poisoned job"), "{err}");
         // Other kernels are unaffected, and the worker runner survives.
-        let ok = run_isolated_point(&mut runner, &point("memcpy"), &opts).unwrap();
+        let ok = run_isolated_point(&runner, &point("memcpy"), &opts).unwrap();
         assert!(ok.cycles > 0);
     }
 }
