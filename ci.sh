@@ -13,13 +13,15 @@ echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== trace arenas: no code outside trace.rs names the vestigial op fields =="
-# An op's registers and access lines live in per-trace arenas, read through
-# `Trace::srcs`, `Trace::dests` and `Trace::mem_lines`. The `TraceOp`
-# fields of the same names are zero-sized stand-ins that deref to a shared
-# empty `Vec`; they remain only because the benchmark reads their capacity,
-# so any other field access reads nothing. The perfbench self-test build
-# below is what proves the stand-ins still compile where it reads them.
-if grep -rnP --include='*.rs' '\.(srcs|dests|mem_lines)\b(?!\s*\()' crates tests examples src \
+# An op's registers, access lines and stream chunk references live in
+# per-trace arenas, read through `Trace::srcs`, `Trace::dests`,
+# `Trace::mem_lines`, `Trace::stream_reads` and `Trace::stream_writes`.
+# The `TraceOp` fields of the same names are zero-sized stand-ins that
+# deref to a shared empty `Vec`; they remain only because the benchmark
+# reads their capacity, so any other field access reads nothing. The
+# perfbench self-test build below is what proves the stand-ins still
+# compile where it reads them.
+if grep -rnP --include='*.rs' '\.(srcs|dests|mem_lines|stream_reads|stream_writes)\b(?!\s*\()' crates tests examples src \
     | grep -v '^crates/uve-core/src/trace.rs:'; then
     echo "the vestigial TraceOp fields are named outside crates/uve-core/src/trace.rs"
     exit 1

@@ -2,15 +2,14 @@
 //! producing results in memory and a dynamic [`Trace`] for the timing model.
 
 use crate::stream_unit::{StreamError, StreamUnit};
-use crate::trace::{BranchOutcome, StreamInstance, Trace, TraceOp};
+use crate::trace::{Trace, TraceOp};
 use crate::value::{PredVal, Scalar, VecVal};
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use uve_isa::{
     AluOp, BrCond, Dir, DupSrc, ElemWidth, ExecClass, FpOp, FpUnOp, HorizOp, Inst, PredCond,
-    PredOp, Program, RegClass, RegRef, StreamCond, StreamCtl, VCmpOp, VOp, VReg, VType, VUnOp,
-    XReg,
+    PredOp, Program, RegList, StreamCond, StreamCtl, VCmpOp, VOp, VReg, VType, VUnOp, XReg,
 };
 use uve_mem::{fnv1a, Memory, FNV_OFFSET, LINE_BYTES};
 
@@ -196,6 +195,10 @@ pub struct RunCursor {
     steps: u64,
     halted: bool,
     trace: Trace,
+    /// Each static instruction's source and destination registers, by
+    /// pc, listed on the first traced slice so that recording an op copies
+    /// them instead of deriving them again.
+    operands: Vec<(RegList, RegList)>,
 }
 
 impl RunCursor {
@@ -407,12 +410,12 @@ impl Emulator {
                     what: "stream vanished during consume",
                 })?
                 .instance;
-            op.stream_reads.push((inst, c.chunk));
+            trace.push_stream_read(op, (inst, c.chunk));
             if self.streams.get(r).is_some_and(|s| s.at_end()) {
                 // Pattern complete: the stream terminates and the register
                 // reverts to a plain vector register (Sec. IV-A, Stream
                 // Termination).
-                op.stream_close = Some(inst);
+                op.set_stream_close(Some(inst));
                 let _ = self.streams.stop(r);
             }
             self.v[r.index()] = c.value.clone();
@@ -460,9 +463,9 @@ impl Emulator {
                     what: "stream vanished during produce",
                 })?
                 .instance;
-            op.stream_writes.push((inst, chunk));
+            trace.push_stream_write(op, (inst, chunk));
             if self.streams.get(r).is_some_and(|s| s.at_end()) {
-                op.stream_close = Some(inst);
+                op.set_stream_close(Some(inst));
                 let _ = self.streams.stop(r);
             }
         } else if self.is_input_stream(r) {
@@ -526,6 +529,13 @@ impl Emulator {
             return Ok(true);
         }
         let slice_end = budget.map(|b| cursor.steps.saturating_add(b));
+        if self.cfg.record_trace && cursor.operands.is_empty() {
+            cursor.operands = program
+                .insts()
+                .iter()
+                .map(|inst| (inst.srcs(), inst.dests()))
+                .collect();
+        }
         loop {
             if cursor.steps >= self.cfg.max_steps {
                 return Err(EmuError::OutOfFuel(self.cfg.max_steps));
@@ -550,10 +560,11 @@ impl Emulator {
                 cursor.halted = true;
                 return Ok(true);
             }
+            let operands = &cursor.operands;
             let next = if self.fault_plan.is_some() {
-                self.step_with_recovery(inst, cursor.pc, &mut cursor.trace)?
+                self.step_with_recovery(inst, cursor.pc, &mut cursor.trace, operands)?
             } else {
-                self.step(inst, cursor.pc, &mut cursor.trace)?
+                self.step(inst, cursor.pc, &mut cursor.trace, operands)?
             };
             cursor.steps += 1;
             cursor.pc = next;
@@ -588,6 +599,7 @@ impl Emulator {
         inst: Inst,
         pc: u32,
         trace: &mut Trace,
+        operands: &[(RegList, RegList)],
     ) -> Result<u32, EmuError> {
         let snap_x = self.x;
         let snap_f = self.f;
@@ -596,12 +608,13 @@ impl Emulator {
         let snap_vl = self.vl_bytes;
         let snap_streams = self.streams.clone();
         let ops_len = trace.ops.len();
-        let (regs_len, lines_len) = (trace.regs.len(), trace.lines.len());
+        let (regs_len, lines_len, chunks_len) =
+            (trace.regs.len(), trace.lines.len(), trace.chunks.len());
         let streams_len = trace.streams.len();
         let chunk_lens: Vec<usize> = trace.streams.iter().map(|s| s.chunks.len()).collect();
         let mut faults: u32 = 0;
         loop {
-            match self.step(inst, pc, trace) {
+            match self.step(inst, pc, trace, operands) {
                 Ok(next) => {
                     if faults > 0 {
                         if let Some(op) = trace.ops.last_mut() {
@@ -633,6 +646,7 @@ impl Emulator {
                     trace.ops.truncate(ops_len);
                     trace.regs.truncate(regs_len);
                     trace.lines.truncate(lines_len);
+                    trace.chunks.truncate(chunks_len);
                     trace.streams.truncate(streams_len);
                     for (s, &len) in trace.streams.iter_mut().zip(&chunk_lens) {
                         s.chunks.truncate(len);
@@ -646,9 +660,15 @@ impl Emulator {
 
     /// Executes one instruction at `pc`, returning the next PC.
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, inst: Inst, pc: u32, trace: &mut Trace) -> Result<u32, EmuError> {
+    fn step(
+        &mut self,
+        inst: Inst,
+        pc: u32,
+        trace: &mut Trace,
+        operands: &[(RegList, RegList)],
+    ) -> Result<u32, EmuError> {
         let mut op = TraceOp::new(pc, inst.exec_class());
-        let lines_at = trace.lines.len();
+        let (lines_at, chunks_at) = (trace.lines.len(), trace.chunks.len());
         let mut next = pc + 1;
         let mut consumed: Vec<(VReg, VecVal)> = Vec::new();
         let vlen = self.cfg.vlen_bytes;
@@ -782,18 +802,12 @@ impl Emulator {
                 if taken {
                     next = target;
                 }
-                op.branch = Some(BranchOutcome {
-                    taken,
-                    next_pc: next,
-                });
+                op.set_branch(taken);
             }
             Inst::Jal { rd, target } => {
                 self.set_x(rd, (pc + 1) as i64);
                 next = target;
-                op.branch = Some(BranchOutcome {
-                    taken: true,
-                    next_pc: next,
-                });
+                op.set_branch(true);
             }
             Inst::Halt | Inst::Nop => {}
             Inst::SsStart {
@@ -818,7 +832,7 @@ impl Emulator {
                         trace,
                     )
                     .map_err(|err| EmuError::Stream { pc, err })?;
-                op.stream_open = inst_id;
+                op.set_stream_open(inst_id);
             }
             Inst::SsApp {
                 u,
@@ -838,7 +852,7 @@ impl Emulator {
                         trace,
                     )
                     .map_err(|err| EmuError::Stream { pc, err })?;
-                op.stream_open = inst_id;
+                op.set_stream_open(inst_id);
             }
             Inst::SsAppMod {
                 u,
@@ -860,7 +874,7 @@ impl Emulator {
                         trace,
                     )
                     .map_err(|err| EmuError::Stream { pc, err })?;
-                op.stream_open = inst_id;
+                op.set_stream_open(inst_id);
             }
             Inst::SsAppInd {
                 u,
@@ -873,7 +887,7 @@ impl Emulator {
                     .streams
                     .append_indirect_mod(u, target, behaviour, origin, end, &self.mem, trace)
                     .map_err(|err| EmuError::Stream { pc, err })?;
-                op.stream_open = inst_id;
+                op.set_stream_open(inst_id);
             }
             Inst::SsCtl { op: ctl, u } => {
                 let r = match ctl {
@@ -881,7 +895,7 @@ impl Emulator {
                     StreamCtl::Resume => self.streams.resume(u).map(|()| None),
                     StreamCtl::Stop => self.streams.stop(u).map(Some),
                 };
-                op.stream_close = r.map_err(|err| EmuError::Stream { pc, err })?;
+                op.set_stream_close(r.map_err(|err| EmuError::Stream { pc, err })?);
             }
             Inst::SsCfgMem { u, level } => self.streams.set_level(u, level),
             Inst::SsBranch { cond, u, target } => {
@@ -898,10 +912,7 @@ impl Emulator {
                 if taken {
                     next = target;
                 }
-                op.branch = Some(BranchOutcome {
-                    taken,
-                    next_pc: next,
-                });
+                op.set_branch(taken);
             }
             Inst::SsGetVl { rd, width } => {
                 self.set_x(rd, self.lanes(width) as i64);
@@ -1062,10 +1073,7 @@ impl Emulator {
                 if taken {
                     next = target;
                 }
-                op.branch = Some(BranchOutcome {
-                    taken,
-                    next_pc: next,
-                });
+                op.set_branch(taken);
             }
             Inst::VExtractF {
                 fd,
@@ -1107,17 +1115,14 @@ impl Emulator {
                 let pm = self.p[pred.index()].clone();
                 let mut out = VecVal::empty(vlen, width);
                 let wb = width.bytes() as u64;
-                let mut first_addr = None;
                 for l in 0..self.lanes(width) {
                     if pm.get(l) {
                         let addr = b.wrapping_add(((idx + l as i64) as u64).wrapping_mul(wb));
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
-                        first_addr.get_or_insert(addr);
                         push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
-                op.mem_addr = first_addr.unwrap_or(b);
                 self.write_v(vd, out, trace, &mut op, pc)?;
             }
             Inst::VStore {
@@ -1133,17 +1138,14 @@ impl Emulator {
                 let idx = self.x[index.index()];
                 let pm = self.p[pred.index()].clone();
                 let wb = width.bytes() as u64;
-                op.is_store = true;
-                let mut first_addr = None;
+                op.set_store();
                 for l in 0..self.lanes(width) {
                     if pm.get(l) && val.lane_valid(l) {
                         let addr = b.wrapping_add(((idx + l as i64) as u64).wrapping_mul(wb));
                         self.mem.write_elem(addr, width, val.int(l));
-                        first_addr.get_or_insert(addr);
                         push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
-                op.mem_addr = first_addr.unwrap_or(b);
             }
             Inst::VGather {
                 vd,
@@ -1158,17 +1160,14 @@ impl Emulator {
                 let pm = self.p[pred.index()].clone();
                 let mut out = VecVal::empty(vlen, width);
                 let wb = width.bytes() as u64;
-                let mut first_addr = None;
                 for l in 0..self.lanes(width) {
                     if pm.get(l) && iv.lane_valid(l) {
                         let addr = b.wrapping_add((iv.int(l) as u64).wrapping_mul(wb));
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
-                        first_addr.get_or_insert(addr);
                         push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
-                op.mem_addr = first_addr.unwrap_or(b);
                 self.write_v(vd, out, trace, &mut op, pc)?;
             }
             Inst::VScatter {
@@ -1185,17 +1184,14 @@ impl Emulator {
                 let iv = align_width(iv, width);
                 let pm = self.p[pred.index()].clone();
                 let wb = width.bytes() as u64;
-                op.is_store = true;
-                let mut first_addr = None;
+                op.set_store();
                 for l in 0..self.lanes(width) {
                     if pm.get(l) && val.lane_valid(l) && iv.lane_valid(l) {
                         let addr = b.wrapping_add((iv.int(l) as u64).wrapping_mul(wb));
                         self.mem.write_elem(addr, width, val.int(l));
-                        first_addr.get_or_insert(addr);
                         push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
-                op.mem_addr = first_addr.unwrap_or(b);
             }
             Inst::WhileLt {
                 pd,
@@ -1234,7 +1230,6 @@ impl Emulator {
                         push_line(&mut trace.lines, lines_at, addr, wb);
                     }
                 }
-                op.mem_addr = b;
                 self.write_v(vd, out, trace, &mut op, pc)?;
                 self.set_x(base, (b + vlen as u64) as i64);
             }
@@ -1249,8 +1244,7 @@ impl Emulator {
                 let b = self.x[base.index()] as u64;
                 let pm = self.p[pred.index()].clone();
                 let wb = width.bytes() as u64;
-                op.is_store = true;
-                op.mem_addr = b;
+                op.set_store();
                 for l in 0..self.lanes(width) {
                     if pm.get(l) && val.lane_valid(l) {
                         let addr = b + l as u64 * wb;
@@ -1263,29 +1257,11 @@ impl Emulator {
         }
 
         if self.cfg.record_trace {
-            // Register dependencies, with stream-register operands removed
-            // (they travel through the FIFO readiness interface instead).
-            let is_stream = |r: &RegRef, chunks: &[(StreamInstance, u32)]| {
-                r.class == RegClass::Vec
-                    && chunks
-                        .iter()
-                        .any(|(i, _)| trace.streams[*i as usize].u == r.num)
-            };
-            let regs_at = trace.regs.len();
-            trace.regs.extend(
-                inst.srcs()
-                    .into_iter()
-                    .filter(|r| !is_stream(r, &op.stream_reads)),
-            );
-            let n_srcs = trace.regs.len() - regs_at;
-            trace.regs.extend(
-                inst.dests()
-                    .into_iter()
-                    .filter(|r| !is_stream(r, &op.stream_writes)),
-            );
-            trace.seal(op, regs_at, n_srcs, lines_at);
+            let (srcs, dests) = &operands[pc as usize];
+            trace.record(op, srcs, dests, lines_at);
         } else {
             trace.lines.truncate(lines_at);
+            trace.chunks.truncate(chunks_at);
         }
         Ok(next)
     }
@@ -1521,8 +1497,9 @@ fn record_mem(
     width: ElemWidth,
     is_store: bool,
 ) {
-    op.mem_addr = addr;
-    op.is_store = is_store;
+    if is_store {
+        op.set_store();
+    }
     push_line(lines, lines_at, addr, width.bytes() as u64);
 }
 
@@ -1652,7 +1629,7 @@ fn cmp_i(o: VCmpOp, a: i64, b: i64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uve_isa::assemble;
+    use uve_isa::{assemble, RegClass};
 
     fn run_text(text: &str, setup: impl FnOnce(&mut Emulator)) -> (Emulator, RunResult) {
         let prog = assemble("t", text).expect("assembles");
@@ -1869,11 +1846,11 @@ hmax:
             .trace
             .ops
             .iter()
-            .find(|o| !o.stream_reads.is_empty())
+            .find(|o| !r.trace.stream_reads(o).is_empty())
             .expect("stream-consuming op present");
         // u0 must not appear as a register dependency.
         assert!(r.trace.srcs(add).iter().all(|s| s.class != RegClass::Vec));
-        assert_eq!(add.stream_reads.len(), 1); // consumed once, used twice
+        assert_eq!(r.trace.stream_reads(add).len(), 1); // consumed once, used twice
     }
 
     #[test]
@@ -1889,7 +1866,7 @@ hmax:
             |_| {},
         );
         assert_eq!(emu.x(XReg::A2), 1234);
-        let st = r.trace.ops.iter().find(|o| o.is_store).unwrap();
+        let st = r.trace.ops.iter().find(|o| o.is_store()).unwrap();
         assert_eq!(r.trace.mem_lines(st), [0x3004 / 64]);
     }
 

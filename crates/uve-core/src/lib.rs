@@ -66,8 +66,8 @@ pub use emulator::{
 pub use fingerprint::{canonical_program_bytes, program_fingerprint};
 pub use stream_unit::{ActiveStream, Consumed, StreamError, StreamUnit};
 pub use trace::{
-    BranchOutcome, ChunkMeta, EmptyVec, EmptyVecElem, Relocation, StreamInstance, StreamTrace,
-    Trace, TraceOp,
+    ChunkMeta, ChunkRef, EmptyVec, EmptyVecElem, Relocation, StreamInstance, StreamTrace, Trace,
+    TraceOp,
 };
 pub use value::{PredVal, Scalar, VecVal, MAX_LANES};
 

@@ -15,12 +15,14 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Arc;
-use uve_isa::{Dir, ElemWidth, ExecClass, MemLevel, RegRef};
-use uve_mem::LINE_BYTES;
+use uve_isa::{Dir, ElemWidth, ExecClass, MemLevel, RegClass, RegRef};
 
 /// Identifier of a dynamic stream instance (one per completed stream
 /// configuration; a register reconfigured `n` times yields `n` instances).
 pub type StreamInstance = u32;
+
+/// A stream chunk reference: `(instance, chunk index)`.
+pub type ChunkRef = (StreamInstance, u32);
 
 /// Metadata of one vector-register-sized stream chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,15 +66,6 @@ impl StreamTrace {
     }
 }
 
-/// Branch outcome of a dynamic control-transfer instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchOutcome {
-    /// Whether the branch was taken.
-    pub taken: bool,
-    /// The next PC actually followed.
-    pub next_pc: u32,
-}
-
 /// A zero-sized stand-in for a `Vec<T>` that is always empty: it derefs to
 /// one shared empty `static` vector per element type, so it costs an op no
 /// bytes and reads as zero length and zero capacity.
@@ -94,6 +87,13 @@ impl EmptyVecElem for RegRef {
 impl EmptyVecElem for u64 {
     fn empty() -> &'static Vec<Self> {
         static EMPTY: Vec<u64> = Vec::new();
+        &EMPTY
+    }
+}
+
+impl EmptyVecElem for ChunkRef {
+    fn empty() -> &'static Vec<Self> {
+        static EMPTY: Vec<ChunkRef> = Vec::new();
         &EMPTY
     }
 }
@@ -132,40 +132,46 @@ impl<T> fmt::Debug for EmptyVec<T> {
     }
 }
 
-/// One dynamic instruction.
-#[derive(Debug, Clone, PartialEq)]
+/// `TraceOp::flags` bit: the explicit access is a store.
+const STORE: u8 = 1;
+/// `TraceOp::flags` bit: the op is a control transfer.
+const BRANCH: u8 = 2;
+/// `TraceOp::flags` bit: the control transfer was taken.
+const TAKEN: u8 = 4;
+/// `TraceOp::stream_open`/`stream_close` value meaning "no instance".
+const NO_STREAM: u32 = u32::MAX;
+
+/// One dynamic instruction: a fixed-size record with no heap of its own.
+/// Its registers, access lines and stream chunk references live in the
+/// trace's arenas, read through [`Trace::srcs`], [`Trace::dests`],
+/// [`Trace::mem_lines`], [`Trace::stream_reads`] and
+/// [`Trace::stream_writes`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceOp {
     /// Static instruction index.
     pub pc: u32,
     /// Execution resource class.
     pub exec: ExecClass,
-    /// Zero-sized and always empty: an op's registers and lines live in
-    /// the trace's arenas, read through [`Trace::srcs`], [`Trace::dests`]
-    /// and [`Trace::mem_lines`]. These three fields exist only because the
-    /// benchmark's `perfbench/src/traced.rs` reads their capacity; the
-    /// compact-record change deletes them once the benchmark counts trace
-    /// memory with [`Trace::resident_bytes`].
+    /// `STORE`, `BRANCH` and `TAKEN` bits.
+    flags: u8,
+    /// Zero-sized and always empty: read the trace's arenas instead. This
+    /// field and the four below exist only because the benchmark's
+    /// `perfbench/src/traced.rs` reads their capacity; they go once it
+    /// counts trace memory with [`Trace::resident_bytes`].
     pub srcs: EmptyVec<RegRef>,
     /// Zero-sized and always empty; see `srcs`.
     pub dests: EmptyVec<RegRef>,
     /// Zero-sized and always empty; see `srcs`.
     pub mem_lines: EmptyVec<u64>,
-    /// First byte address of the access (prefetcher training key uses
-    /// `pc`).
-    pub mem_addr: u64,
-    /// `true` if the explicit access is a store.
-    pub is_store: bool,
-    /// Branch outcome, for control-transfer instructions.
-    pub branch: Option<BranchOutcome>,
-    /// Stream chunks consumed: `(instance, chunk index)`.
-    pub stream_reads: Vec<(StreamInstance, u32)>,
-    /// Stream chunks produced.
-    pub stream_writes: Vec<(StreamInstance, u32)>,
-    /// Stream instance whose configuration this instruction *completes*.
-    pub stream_open: Option<StreamInstance>,
-    /// Stream instance terminated by this instruction (explicit stop or
-    /// completion-signalling consumption).
-    pub stream_close: Option<StreamInstance>,
+    /// Zero-sized and always empty; see `srcs`.
+    pub stream_reads: EmptyVec<ChunkRef>,
+    /// Zero-sized and always empty; see `srcs`.
+    pub stream_writes: EmptyVec<ChunkRef>,
+    /// Stream instance whose configuration this op completes, or
+    /// `NO_STREAM`.
+    stream_open: u32,
+    /// Stream instance this op terminates, or `NO_STREAM`.
+    stream_close: u32,
     /// Precise stream faults this instruction trapped on before finally
     /// executing (each one cost a handler round trip; the timing model
     /// charges `fault_trap_penalty` per fault).
@@ -175,9 +181,14 @@ pub struct TraceOp {
     regs_at: u32,
     /// Index of the op's first line in [`Trace::lines`].
     lines_at: u32,
+    /// Index of the op's first chunk reference in [`Trace::chunks`]:
+    /// `n_reads` consumed, then `n_writes` produced.
+    chunks_at: u32,
     n_lines: u16,
     n_srcs: u8,
     n_dests: u8,
+    n_reads: u8,
+    n_writes: u8,
 }
 
 impl TraceOp {
@@ -186,31 +197,105 @@ impl TraceOp {
         Self {
             pc,
             exec,
+            flags: 0,
             srcs: EmptyVec::default(),
             dests: EmptyVec::default(),
             mem_lines: EmptyVec::default(),
-            mem_addr: 0,
-            is_store: false,
-            branch: None,
-            stream_reads: Vec::new(),
-            stream_writes: Vec::new(),
-            stream_open: None,
-            stream_close: None,
+            stream_reads: EmptyVec::default(),
+            stream_writes: EmptyVec::default(),
+            stream_open: NO_STREAM,
+            stream_close: NO_STREAM,
             stream_faults: 0,
             regs_at: 0,
             lines_at: 0,
+            chunks_at: 0,
             n_lines: 0,
             n_srcs: 0,
             n_dests: 0,
+            n_reads: 0,
+            n_writes: 0,
         }
+    }
+
+    /// `true` if the explicit access is a store.
+    #[inline]
+    pub fn is_store(&self) -> bool {
+        self.flags & STORE != 0
+    }
+
+    /// Marks the explicit access as a store.
+    pub fn set_store(&mut self) {
+        self.flags |= STORE;
+    }
+
+    /// For a control-transfer instruction, whether it was taken.
+    #[inline]
+    pub fn branch_taken(&self) -> Option<bool> {
+        (self.flags & BRANCH != 0).then_some(self.flags & TAKEN != 0)
+    }
+
+    /// Marks the op as a control transfer that was (or was not) taken.
+    pub fn set_branch(&mut self, taken: bool) {
+        self.flags |= BRANCH;
+        if taken {
+            self.flags |= TAKEN;
+        } else {
+            self.flags &= !TAKEN;
+        }
+    }
+
+    /// Stream instance whose configuration this instruction *completes*.
+    #[inline]
+    pub fn stream_open(&self) -> Option<StreamInstance> {
+        (self.stream_open != NO_STREAM).then_some(self.stream_open)
+    }
+
+    /// Sets the instance whose configuration this instruction completes.
+    pub fn set_stream_open(&mut self, inst: Option<StreamInstance>) {
+        self.stream_open = stream_slot(inst);
+    }
+
+    /// Stream instance terminated by this instruction (explicit stop or
+    /// completion-signalling consumption).
+    #[inline]
+    pub fn stream_close(&self) -> Option<StreamInstance> {
+        (self.stream_close != NO_STREAM).then_some(self.stream_close)
+    }
+
+    /// Sets the instance this instruction terminates.
+    pub fn set_stream_close(&mut self, inst: Option<StreamInstance>) {
+        self.stream_close = stream_slot(inst);
+    }
+
+    /// `true` if the op consumes or produces a stream chunk.
+    #[inline]
+    pub(crate) fn touches_streams(&self) -> bool {
+        (self.n_reads | self.n_writes) != 0
+    }
+}
+
+/// An arena position as an op stores it.
+fn index(at: usize) -> u32 {
+    u32::try_from(at).expect("trace arena index exceeds u32")
+}
+
+/// The stored form of an optional stream instance.
+fn stream_slot(inst: Option<StreamInstance>) -> u32 {
+    match inst {
+        Some(i) => {
+            assert_ne!(i, NO_STREAM, "stream instance id out of range");
+            i
+        }
+        None => NO_STREAM,
     }
 }
 
 /// A complete dynamic trace.
 ///
-/// Each op's register operands and explicit-access lines live in two
-/// per-trace arenas rather than in per-op vectors, so recording an op
-/// allocates nothing of its own; an op holds only its ranges into them.
+/// Each op's register operands, explicit-access lines and stream chunk
+/// references live in three per-trace arenas rather than in per-op
+/// vectors, so recording an op allocates nothing of its own; an op holds
+/// only its ranges into them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Dynamic instructions in program order.
@@ -224,6 +309,9 @@ pub struct Trace {
     /// Line arena: the cache lines each op's explicit (non-stream) access
     /// touches, in access order, with consecutive repeats merged.
     pub(crate) lines: Vec<u64>,
+    /// Chunk arena: the stream chunks each op consumes, then those it
+    /// produces.
+    pub(crate) chunks: Vec<ChunkRef>,
 }
 
 impl Trace {
@@ -233,7 +321,9 @@ impl Trace {
     }
 
     /// Appends `op` with its source and destination registers and the
-    /// lines its explicit access touches.
+    /// lines its explicit access touches. Its stream chunks are those
+    /// recorded on it with [`push_stream_read`](Self::push_stream_read)
+    /// and [`push_stream_write`](Self::push_stream_write).
     pub fn push_op(&mut self, op: TraceOp, srcs: &[RegRef], dests: &[RegRef], lines: &[u64]) {
         let (regs_at, lines_at) = (self.regs.len(), self.lines.len());
         self.regs.extend_from_slice(srcs);
@@ -242,11 +332,75 @@ impl Trace {
         self.seal(op, regs_at, srcs.len(), lines_at);
     }
 
+    /// Records that `op`, the next op to be appended, consumes `chunk`.
+    /// An op's chunks go on the arena in one run, its reads first, and no
+    /// other op's in between.
+    pub fn push_stream_read(&mut self, op: &mut TraceOp, chunk: ChunkRef) {
+        assert_eq!(op.n_writes, 0, "an op's stream reads precede its writes");
+        self.push_chunk(op, chunk);
+        op.n_reads += 1;
+    }
+
+    /// Records that `op`, the next op to be appended, produces `chunk`.
+    pub fn push_stream_write(&mut self, op: &mut TraceOp, chunk: ChunkRef) {
+        self.push_chunk(op, chunk);
+        op.n_writes += 1;
+    }
+
+    fn push_chunk(&mut self, op: &mut TraceOp, chunk: ChunkRef) {
+        if !op.touches_streams() {
+            op.chunks_at = index(self.chunks.len());
+        }
+        debug_assert_eq!(
+            op.chunks_at as usize + usize::from(op.n_reads + op.n_writes),
+            self.chunks.len(),
+            "another op's chunks were pushed in between"
+        );
+        assert!(op.n_reads + op.n_writes < u8::MAX, "too many stream chunks");
+        self.chunks.push(chunk);
+    }
+
+    /// Appends `op`, the emulator's record of an instruction with sources
+    /// `srcs` and destinations `dests`, whose lines were pushed on the line
+    /// arena from `lines_at`. A vector register bound to a stream the op
+    /// reads or writes is left out: the timing model reaches stream
+    /// operands through the FIFO readiness interface instead.
+    pub(crate) fn record(
+        &mut self,
+        op: TraceOp,
+        srcs: &[RegRef],
+        dests: &[RegRef],
+        lines_at: usize,
+    ) {
+        let regs_at = self.regs.len();
+        if !op.touches_streams() {
+            self.regs.extend_from_slice(srcs);
+            self.regs.extend_from_slice(dests);
+            self.seal(op, regs_at, srcs.len(), lines_at);
+            return;
+        }
+        let Self {
+            regs,
+            streams,
+            chunks,
+            ..
+        } = self;
+        let at = op.chunks_at as usize;
+        let (reads, writes) = chunks[at..at + usize::from(op.n_reads + op.n_writes)]
+            .split_at(usize::from(op.n_reads));
+        let bound = |r: &RegRef, refs: &[ChunkRef]| {
+            r.class == RegClass::Vec && refs.iter().any(|&(i, _)| streams[i as usize].u == r.num)
+        };
+        regs.extend(srcs.iter().filter(|r| !bound(r, reads)));
+        let n_srcs = regs.len() - regs_at;
+        regs.extend(dests.iter().filter(|r| !bound(r, writes)));
+        self.seal(op, regs_at, n_srcs, lines_at);
+    }
+
     /// Appends `op`, whose registers were pushed on the register arena
     /// from `regs_at` (`n_srcs` sources, then destinations) and whose
     /// lines were pushed on the line arena from `lines_at`.
-    pub(crate) fn seal(&mut self, mut op: TraceOp, regs_at: usize, n_srcs: usize, lines_at: usize) {
-        let index = |at: usize| u32::try_from(at).expect("trace arena index exceeds u32");
+    fn seal(&mut self, mut op: TraceOp, regs_at: usize, n_srcs: usize, lines_at: usize) {
         op.regs_at = index(regs_at);
         op.n_srcs = u8::try_from(n_srcs).expect("more than 255 source registers");
         op.n_dests = u8::try_from(self.regs.len() - regs_at - n_srcs)
@@ -278,35 +432,66 @@ impl Trace {
         &self.lines[at..at + usize::from(op.n_lines)]
     }
 
+    /// Stream chunks `op` consumes, in operand order.
+    #[inline]
+    pub fn stream_reads(&self, op: &TraceOp) -> &[ChunkRef] {
+        let at = op.chunks_at as usize;
+        &self.chunks[at..at + usize::from(op.n_reads)]
+    }
+
+    /// Stream chunks `op` produces.
+    #[inline]
+    pub fn stream_writes(&self, op: &TraceOp) -> &[ChunkRef] {
+        let at = op.chunks_at as usize + usize::from(op.n_reads);
+        &self.chunks[at..at + usize::from(op.n_writes)]
+    }
+
     /// Every op's access lines, in op order, for rewriting in place.
     pub fn lines_mut(&mut self) -> &mut [u64] {
         &mut self.lines
     }
 
     /// Heap bytes the trace owns, counted as capacity × element size:
-    /// the op table, both arenas, each op's stream-chunk vectors, the
-    /// stream table and each chunk's line list. Allocator overhead
-    /// (block headers, size-class rounding) is not counted.
+    /// the op table, the three arenas, the stream table and each chunk's
+    /// line list. Allocator overhead (block headers, size-class rounding)
+    /// is not counted.
     pub fn resident_bytes(&self) -> u64 {
-        fn bytes<T>(v: &Vec<T>) -> usize {
-            v.capacity() * std::mem::size_of::<T>()
+        self.heap_bytes(true)
+    }
+
+    /// The same sum as [`resident_bytes`](Self::resident_bytes) by length
+    /// instead of capacity: the bytes the trace's contents fill, without
+    /// the slack its vectors grew.
+    pub fn used_bytes(&self) -> u64 {
+        self.heap_bytes(false)
+    }
+
+    /// Sums capacity (or length) × element size over every vector the
+    /// trace owns.
+    fn heap_bytes(&self, by_capacity: bool) -> u64 {
+        fn shape<T>(v: &Vec<T>) -> [usize; 3] {
+            [v.len(), v.capacity(), std::mem::size_of::<T>()]
         }
-        let ops: usize = self
-            .ops
-            .iter()
-            .map(|op| bytes(&op.stream_reads) + bytes(&op.stream_writes))
-            .sum();
+        let bytes = |[len, cap, size]: [usize; 3]| if by_capacity { cap } else { len } * size;
         let streams: usize = self
             .streams
             .iter()
-            .map(|s| bytes(&s.chunks) + s.chunks.iter().map(|c| bytes(&c.lines)).sum::<usize>())
+            .map(|s| {
+                bytes(shape(&s.chunks))
+                    + s.chunks
+                        .iter()
+                        .map(|c| bytes(shape(&c.lines)))
+                        .sum::<usize>()
+            })
             .sum();
-        (bytes(&self.ops)
-            + bytes(&self.regs)
-            + bytes(&self.lines)
-            + ops
-            + bytes(&self.streams)
-            + streams) as u64
+        let tables = [
+            shape(&self.ops),
+            shape(&self.regs),
+            shape(&self.lines),
+            shape(&self.chunks),
+            shape(&self.streams),
+        ];
+        (tables.into_iter().map(bytes).sum::<usize>() + streams) as u64
     }
 
     /// Number of dynamic (committed) instructions.
@@ -331,9 +516,9 @@ impl Trace {
         let mut total = 0;
         let mut taken = 0;
         for op in &self.ops {
-            if let Some(b) = op.branch {
+            if let Some(t) = op.branch_taken() {
                 total += 1;
-                taken += u64::from(b.taken);
+                taken += u64::from(t);
             }
         }
         (total, taken)
@@ -404,16 +589,13 @@ impl Relocation {
         }
     }
 
-    /// Relocates every line of `trace` in place: explicit accesses, their
-    /// byte addresses, and stream chunk line lists (including
-    /// indirection-origin reads), so the result stays self-consistent.
+    /// Relocates every line of `trace` in place: explicit accesses and
+    /// stream chunk line lists (including indirection-origin reads), so
+    /// the result stays self-consistent. Ops and chunk references do not
+    /// change.
     pub fn apply(&self, trace: &mut Trace) {
         for line in &mut trace.lines {
             *line = self.line(*line);
-        }
-        for op in &mut trace.ops {
-            let (line, offset) = (op.mem_addr / LINE_BYTES, op.mem_addr % LINE_BYTES);
-            op.mem_addr = self.line(line) * LINE_BYTES + offset;
         }
         for s in &mut trace.streams {
             for chunk in &mut s.chunks {
@@ -461,16 +643,111 @@ mod tests {
     }
 
     #[test]
-    fn resident_bytes_counts_every_capacity() {
+    fn ops_are_compact_records_without_drop_glue() {
+        assert!(std::mem::size_of::<TraceOp>() <= 40);
+        assert!(!std::mem::needs_drop::<TraceOp>());
+    }
+
+    #[test]
+    fn op_flags_and_stream_ids_read_back() {
+        let mut op = TraceOp::new(3, ExecClass::Store);
+        assert!(!op.is_store() && op.branch_taken().is_none());
+        assert_eq!((op.stream_open(), op.stream_close()), (None, None));
+        op.set_store();
+        op.set_stream_open(Some(0));
+        op.set_stream_close(Some(7));
+        assert!(op.is_store() && op.branch_taken().is_none());
+        assert_eq!((op.stream_open(), op.stream_close()), (Some(0), Some(7)));
+        op.set_stream_close(None);
+        assert_eq!(op.stream_close(), None);
+    }
+
+    /// Two stream ops around a plain one: a two-read op, a one-write op
+    /// with an access line, and an op that reads and writes.
+    fn stream_trace() -> Trace {
+        let mut t = Trace::new();
+        let mut add = TraceOp::new(0, ExecClass::FpAdd);
+        t.push_stream_read(&mut add, (0, 0));
+        t.push_stream_read(&mut add, (1, 0));
+        t.push_op(add, &[], &[], &[]);
+        t.push_op(TraceOp::new(1, ExecClass::Load), &[x(1)], &[x(2)], &[4]);
+        let mut st = TraceOp::new(2, ExecClass::VecInt);
+        t.push_stream_write(&mut st, (2, 5));
+        t.push_op(st, &[], &[], &[9]);
+        let mut mv = TraceOp::new(3, ExecClass::VecInt);
+        t.push_stream_read(&mut mv, (0, 1));
+        t.push_stream_write(&mut mv, (2, 6));
+        t.push_op(mv, &[], &[], &[]);
+        t
+    }
+
+    fn chunk_refs(t: &Trace) -> Vec<(Vec<ChunkRef>, Vec<ChunkRef>)> {
+        t.ops
+            .iter()
+            .map(|op| (t.stream_reads(op).to_vec(), t.stream_writes(op).to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn ops_read_their_own_chunk_ranges() {
+        let t = stream_trace();
+        assert_eq!(
+            chunk_refs(&t),
+            [
+                (vec![(0, 0), (1, 0)], vec![]),
+                (vec![], vec![]),
+                (vec![], vec![(2, 5)]),
+                (vec![(0, 1)], vec![(2, 6)]),
+            ]
+        );
+        assert!(t.ops[0].touches_streams() && !t.ops[1].touches_streams());
+        assert_eq!(t.mem_lines(&t.ops[2]), [9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream reads precede its writes")]
+    fn a_read_after_a_write_is_refused() {
+        let mut t = Trace::new();
+        let mut op = TraceOp::new(0, ExecClass::VecInt);
+        t.push_stream_write(&mut op, (0, 0));
+        t.push_stream_read(&mut op, (1, 0));
+    }
+
+    #[test]
+    fn relocation_moves_lines_and_keeps_ops_and_chunk_refs() {
+        let mut t = stream_trace();
+        t.streams.push(StreamTrace {
+            u: 0,
+            dir: Dir::Load,
+            level: MemLevel::L2,
+            width: ElemWidth::Word,
+            chunks: vec![ChunkMeta {
+                lines: vec![4, 8],
+                dim_switches: 0,
+                valid: 16,
+            }],
+            cfg_insts: 1,
+        });
+        let before = t.clone();
+        Relocation::new([4, 9], 0).with_delta(100).apply(&mut t);
+        assert_eq!(t.ops, before.ops);
+        assert_eq!(chunk_refs(&t), chunk_refs(&before));
+        assert_eq!(t.regs, before.regs);
+        assert_eq!(t.lines, [104, 109]);
+        assert_eq!(t.streams[0].chunks[0].lines, [104, 8]);
+    }
+
+    #[test]
+    fn resident_and_used_bytes_count_every_vector() {
         let mut t = Trace {
             ops: Vec::with_capacity(4),
             streams: Vec::with_capacity(2),
             regs: Vec::with_capacity(8),
             lines: Vec::with_capacity(3),
+            chunks: Vec::with_capacity(5),
         };
         let mut op = TraceOp::new(0, ExecClass::Load);
-        op.stream_reads = Vec::with_capacity(5);
-        op.stream_writes = Vec::with_capacity(1);
+        t.push_stream_read(&mut op, (0, 0));
         t.push_op(op, &[x(1)], &[x(2)], &[7]);
         let mut chunks = Vec::with_capacity(3);
         chunks.push(ChunkMeta {
@@ -489,11 +766,18 @@ mod tests {
         let expected = 4 * std::mem::size_of::<TraceOp>()
             + 8 * std::mem::size_of::<RegRef>()
             + 3 * 8
-            + 6 * std::mem::size_of::<(StreamInstance, u32)>()
+            + 5 * std::mem::size_of::<ChunkRef>()
             + 2 * std::mem::size_of::<StreamTrace>()
             + 3 * std::mem::size_of::<ChunkMeta>()
             + 6 * 8;
         assert_eq!(t.resident_bytes(), expected as u64);
+        let used = std::mem::size_of::<TraceOp>()
+            + 2 * std::mem::size_of::<RegRef>()
+            + 8
+            + std::mem::size_of::<ChunkRef>()
+            + std::mem::size_of::<StreamTrace>()
+            + std::mem::size_of::<ChunkMeta>();
+        assert_eq!(t.used_bytes(), used as u64);
     }
 
     #[test]
@@ -537,16 +821,14 @@ mod tests {
     fn branch_profile() {
         let mut t = Trace::new();
         let mut b = TraceOp::new(0, ExecClass::Branch);
-        b.branch = Some(BranchOutcome {
-            taken: true,
-            next_pc: 5,
-        });
-        t.ops.push(b.clone());
-        b.branch = Some(BranchOutcome {
-            taken: false,
-            next_pc: 1,
-        });
+        b.set_branch(true);
         t.ops.push(b);
+        assert_eq!(b.branch_taken(), Some(true));
+        b.set_branch(false);
+        t.ops.push(b);
+        assert_eq!(b.branch_taken(), Some(false));
+        t.ops.push(TraceOp::new(1, ExecClass::IntAlu));
+        assert_eq!(t.ops[2].branch_taken(), None);
         assert_eq!(t.branch_profile(), (2, 1));
     }
 }

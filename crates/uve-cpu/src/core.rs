@@ -17,7 +17,7 @@ use crate::events::{ChunkSpan, EventLog, FifoPoint, OpSpan};
 use crate::predictor::Bimodal;
 use crate::stats::{CycleAccount, RenameBlockReason, TimingStats};
 use uve_core::engine::{ChunkStatus, EngineSim};
-use uve_core::{Relocation, Trace, TraceOp};
+use uve_core::{ChunkRef, Relocation, Trace};
 use uve_isa::{Dir, ExecClass, RegClass, RegRef};
 use uve_mem::{CoherenceViolation, MemPort, Path, SmpMem, LINE_BYTES};
 
@@ -72,11 +72,13 @@ fn watchdog_report(
     n: usize,
     rob_used: usize,
     account: &CycleAccount,
-    head_op: &TraceOp,
+    trace: &Trace,
     head_done: u64,
     engine: &EngineSim,
 ) -> String {
     use std::fmt::Write as _;
+    let head_op = &trace.ops[commit_ptr];
+    let head_reads = trace.stream_reads(head_op);
     let mut out =
         format!("no-retire watchdog: {watchdog_cycles} cycles without a commit at cycle {now}\n");
     let _ = writeln!(
@@ -90,8 +92,8 @@ fn watchdog_report(
             head_done.to_string()
         },
     );
-    if !head_op.stream_reads.is_empty() {
-        let _ = writeln!(out, "  head stream_reads: {:?}", head_op.stream_reads);
+    if !head_reads.is_empty() {
+        let _ = writeln!(out, "  head stream_reads: {head_reads:?}");
     }
     let _ = writeln!(
         out,
@@ -274,13 +276,13 @@ impl Cluster {
     }
 }
 
-/// True if every stream chunk `op` reads is in its FIFO at `now`. Once
+/// True if every stream chunk in `reads` is in its FIFO at `now`. Once
 /// the engine has fetched them all, their latest arrival is kept in `w`
 /// and the engine is not asked again.
 #[inline]
-fn streams_ready(w: &mut Wake, op: &TraceOp, engine: &EngineSim, now: u64) -> bool {
+fn streams_ready(w: &mut Wake, reads: &[ChunkRef], engine: &EngineSim, now: u64) -> bool {
     if w.stream_at == 0 {
-        for &(inst, chunk) in &op.stream_reads {
+        for &(inst, chunk) in reads {
             match engine.chunk_status(inst, chunk) {
                 ChunkStatus::Ready(r) => w.stream_at = w.stream_at.max(r),
                 ChunkStatus::NotFetched => {
@@ -731,7 +733,7 @@ impl CorePipeline {
                 break;
             }
             let op = &trace.ops[idx];
-            if op.is_store {
+            if op.is_store() {
                 for &line in trace.mem_lines(op) {
                     mem.write(
                         self.reloc.line(line) * LINE_BYTES,
@@ -741,7 +743,7 @@ impl CorePipeline {
                     );
                 }
             }
-            for &(inst, chunk) in &op.stream_reads {
+            for &(inst, chunk) in trace.stream_reads(op) {
                 if let Some(log) = events.as_deref_mut() {
                     if let ChunkStatus::Ready(ready) = self.engine.chunk_status(inst, chunk) {
                         log.chunks.push(ChunkSpan {
@@ -755,7 +757,7 @@ impl CorePipeline {
                 }
                 self.engine.commit_read(inst, chunk);
             }
-            for &(inst, chunk) in &op.stream_writes {
+            for &(inst, chunk) in trace.stream_writes(op) {
                 if let Some(log) = events.as_deref_mut() {
                     if let ChunkStatus::Ready(ready) = self.engine.chunk_status(inst, chunk) {
                         log.chunks.push(ChunkSpan {
@@ -770,7 +772,7 @@ impl CorePipeline {
                 self.engine
                     .commit_write(inst, chunk, now, &trace.streams, &self.reloc, mem);
             }
-            if let Some(inst) = op.stream_close {
+            if let Some(inst) = op.stream_close() {
                 self.engine.close(inst);
             }
             for d in trace.dests(op) {
@@ -820,7 +822,7 @@ impl CorePipeline {
                     let w = &mut wake[idx & mask];
                     slots.port_free(cl, w.kind)
                         && (w.kind & K_STREAM == 0
-                            || streams_ready(w, &trace.ops[idx], engine, now))
+                            || streams_ready(w, trace.stream_reads(&trace.ops[idx]), engine, now))
                 }) else {
                     break;
                 };
@@ -864,7 +866,7 @@ impl CorePipeline {
                 .any(|d| self.free_regs[class_idx(d.class)] == 0)
             {
                 block = Some(RenameBlockReason::Prf);
-            } else if op.stream_writes.iter().any(|&(inst, chunk)| {
+            } else if trace.stream_writes(op).iter().any(|&(inst, chunk)| {
                 self.engine.chunk_status(inst, chunk) == ChunkStatus::NotFetched
             }) {
                 // Store FIFO slot not yet reserved by the engine.
@@ -876,8 +878,8 @@ impl CorePipeline {
                     self.stats.rename_block_reasons.bump(reason);
                     cycle_block = Some(reason);
                     if reason == RenameBlockReason::StoreFifo {
-                        cycle_block_u = op
-                            .stream_writes
+                        cycle_block_u = trace
+                            .stream_writes(op)
                             .iter()
                             .find(|&&(inst, chunk)| {
                                 self.engine.chunk_status(inst, chunk) == ChunkStatus::NotFetched
@@ -895,14 +897,14 @@ impl CorePipeline {
                 _ => {}
             }
             // Stream configuration completes here (speculative config).
-            if let Some(inst) = op.stream_open {
+            if let Some(inst) = op.stream_open() {
                 self.engine.open(inst, &trace.streams[inst as usize], now);
             }
             let mut kind = 0;
             if op.exec == ExecClass::Store {
                 kind |= K_STORE;
             }
-            if !op.stream_reads.is_empty() {
+            if !trace.stream_reads(op).is_empty() {
                 kind |= K_STREAM;
             }
             // Dependencies on in-flight producers only: one not yet issued
@@ -966,15 +968,15 @@ impl CorePipeline {
                 let op = &trace.ops[idx];
                 self.fetch_ptr += 1;
                 fetched += 1;
-                if let Some(b) = op.branch {
+                if let Some(taken) = op.branch_taken() {
                     self.stats.branches += 1;
-                    let correct = self.predictor.predict_and_train(op.pc, b.taken);
+                    let correct = self.predictor.predict_and_train(op.pc, taken);
                     if !correct {
                         self.stats.branch_mispredicts += 1;
                         self.fetch_stalled_on = Some(idx);
                         break;
                     }
-                    if b.taken {
+                    if taken {
                         // Taken-branch fetch bubble.
                         break;
                     }
@@ -1008,8 +1010,8 @@ impl CorePipeline {
                 && head_op.exec == ExecClass::Load
                 && !trace.mem_lines(head_op).is_empty();
             let head_stream_stall = if self.rob_used > 0 && self.done[head] == NOT_DONE {
-                head_op
-                    .stream_reads
+                trace
+                    .stream_reads(head_op)
                     .iter()
                     .find(|&&(inst, chunk)| {
                         !matches!(self.engine.chunk_status(inst, chunk),
@@ -1219,7 +1221,7 @@ impl CorePipeline {
                     self.n,
                     self.rob_used,
                     &self.stats.account,
-                    &trace.ops[self.commit_ptr],
+                    trace,
                     self.done[self.commit_ptr],
                     &self.engine,
                 )
@@ -1261,7 +1263,7 @@ impl CorePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uve_core::{EmuConfig, Emulator};
+    use uve_core::{EmuConfig, Emulator, TraceOp};
     use uve_isa::assemble;
     use uve_mem::Memory;
 
@@ -1617,8 +1619,8 @@ skip:
         // `max_cycles`.
         let mut t = Trace::new();
         let mut op = TraceOp::new(0, ExecClass::VecInt);
-        op.stream_reads.push((0, 0));
-        t.ops.push(op);
+        t.push_stream_read(&mut op, (0, 0));
+        t.push_op(op, &[], &[], &[]);
         t.streams.push(StreamTrace {
             u: 3,
             dir: Dir::Load,
@@ -1646,6 +1648,10 @@ skip:
         assert!(
             msg.contains("fifo-empty"),
             "report lists stall table: {msg}"
+        );
+        assert!(
+            msg.contains("head stream_reads: [(0, 0)]"),
+            "report names the head's unfetched chunk: {msg}"
         );
     }
 

@@ -22,7 +22,7 @@
 
 use uve_core::{Relocation, Trace};
 use uve_isa::Dir;
-use uve_mem::{IntSet, LINE_BYTES};
+use uve_mem::IntSet;
 
 /// Distance between per-core private address-space slices, in cache lines
 /// (`1 << 20` lines = 64 MiB). Far larger than any kernel footprint, so
@@ -36,7 +36,7 @@ pub fn written_lines(trace: &Trace) -> Vec<u64> {
     let mut seen = IntSet::default();
     let mut out = Vec::new();
     for op in &trace.ops {
-        if op.is_store {
+        if op.is_store() {
             for &line in trace.mem_lines(op) {
                 if seen.insert(line) {
                     out.push(line);
@@ -75,9 +75,9 @@ pub(crate) fn shard_relocations(
 
 /// A copy of `trace` relocated for `core`: every written line except the
 /// first `shared_written` is private, and core `c` moves each private line
-/// by `c * SHARD_STRIDE_LINES` everywhere it appears (explicit accesses,
-/// access addresses, and stream chunk line lists — including
-/// indirection-origin reads), so the copy stays self-consistent. Core 0
+/// by `c * SHARD_STRIDE_LINES` everywhere it appears (explicit accesses
+/// and stream chunk line lists — including indirection-origin reads), so
+/// the copy stays self-consistent. Core 0
 /// runs the unmodified trace. The reference for [`crate::run_sharded`],
 /// which applies the same relocation without copying.
 pub fn shard_trace(trace: &Trace, core: usize, shared_written: usize) -> Trace {
@@ -105,11 +105,6 @@ pub fn relocate_trace(trace: &Trace, slot: usize) -> Trace {
     for line in out.lines_mut() {
         *line += delta;
     }
-    for (op, orig) in out.ops.iter_mut().zip(&trace.ops) {
-        if op.mem_addr != 0 || !trace.mem_lines(orig).is_empty() {
-            op.mem_addr += delta * LINE_BYTES;
-        }
-    }
     for s in &mut out.streams {
         for chunk in &mut s.chunks {
             for line in &mut chunk.lines {
@@ -129,12 +124,12 @@ mod tests {
     fn toy_trace() -> Trace {
         let mut t = Trace::new();
         let mut store = TraceOp::new(0, ExecClass::Store);
-        store.is_store = true;
-        store.mem_addr = 10 * LINE_BYTES + 8;
+        store.set_store();
         t.push_op(store, &[], &[], &[10, 11]);
-        let mut load = TraceOp::new(1, ExecClass::Load);
-        load.mem_addr = 99 * LINE_BYTES;
-        t.push_op(load, &[], &[], &[10, 99]);
+        t.push_op(TraceOp::new(1, ExecClass::Load), &[], &[], &[10, 99]);
+        let mut produce = TraceOp::new(2, ExecClass::VecInt);
+        t.push_stream_write(&mut produce, (0, 0));
+        t.push_op(produce, &[], &[], &[]);
         t.streams.push(StreamTrace {
             u: 2,
             dir: Dir::Store,
@@ -148,6 +143,26 @@ mod tests {
             cfg_insts: 1,
         });
         t
+    }
+
+    /// Every op's access lines, in op order: the whole line arena.
+    fn line_arena(t: &Trace) -> Vec<u64> {
+        t.ops
+            .iter()
+            .flat_map(|op| t.mem_lines(op))
+            .copied()
+            .collect()
+    }
+
+    /// Relocation moves lines only: the ops and their stream chunk
+    /// references stay as they were.
+    fn assert_only_lines_moved(moved: &Trace, orig: &Trace) {
+        assert_eq!(moved.ops, orig.ops);
+        for (a, b) in moved.ops.iter().zip(&orig.ops) {
+            assert_eq!(moved.stream_reads(a), orig.stream_reads(b));
+            assert_eq!(moved.stream_writes(a), orig.stream_writes(b));
+        }
+        assert_eq!(moved.stream_writes(&moved.ops[2]), [(0, 0)]);
     }
 
     #[test]
@@ -170,10 +185,11 @@ mod tests {
         let s = shard_trace(&t, 2, 1);
         let d = 2 * SHARD_STRIDE_LINES;
         assert_eq!(s.mem_lines(&s.ops[0]), [10, 11 + d]);
-        assert_eq!(s.ops[0].mem_addr, 10 * LINE_BYTES + 8);
         // The read of written line 10 stays shared; read-only 99 untouched.
         assert_eq!(s.mem_lines(&s.ops[1]), [10, 99]);
+        assert_eq!(line_arena(&s), [10, 11 + d, 10, 99]);
         assert_eq!(s.streams[0].chunks[0].lines, vec![11 + d, 20 + d]);
+        assert_only_lines_moved(&s, &t);
     }
 
     #[test]
@@ -182,8 +198,9 @@ mod tests {
         let r = relocate_trace(&t, 2);
         let d = 2 * SHARD_STRIDE_LINES;
         assert_eq!(r.mem_lines(&r.ops[0]), [10 + d, 11 + d]);
-        assert_eq!(r.ops[0].mem_addr, (10 + d) * LINE_BYTES + 8);
         assert_eq!(r.mem_lines(&r.ops[1]), [10 + d, 99 + d]);
+        assert_eq!(line_arena(&r), [10 + d, 11 + d, 10 + d, 99 + d]);
+        assert_only_lines_moved(&r, &t);
         assert_eq!(r.streams[0].chunks[0].lines, vec![11 + d, 20 + d]);
         let id = relocate_trace(&t, 0);
         assert_eq!(id.mem_lines(&id.ops[0]), t.mem_lines(&t.ops[0]));

@@ -3,8 +3,11 @@
 //!
 //! Emulates every point with tracing on, one at a time, and prints per
 //! flavour the ops recorded, the traces' resident bytes
-//! ([`Trace::resident_bytes`], by capacity) per op and the emulation
-//! seconds, then the size of one `TraceOp` and the process's peak RSS.
+//! ([`Trace::resident_bytes`], by capacity) in MiB and per op, the bytes
+//! per op by length ([`Trace::used_bytes`]; the gap to the capacity
+//! column is the slack the trace's vectors grew by doubling) and the
+//! emulation seconds, then the size of one `TraceOp` and the process's
+//! peak RSS.
 //! Each trace is dropped after it is measured, so the peak RSS is that of
 //! one resident trace plus the emulator, not of the summed bytes.
 //!
@@ -26,6 +29,7 @@ struct Footprint {
     points: usize,
     ops: u64,
     bytes: u64,
+    used: u64,
     emu_s: f64,
 }
 
@@ -34,16 +38,18 @@ impl Footprint {
         self.points += 1;
         self.ops += trace.ops.len() as u64;
         self.bytes += trace.resident_bytes();
+        self.used += trace.used_bytes();
         self.emu_s += emu_s;
     }
 
     fn print(&self, label: &str) {
         println!(
-            "{label:<8} {:>6} {:>10} {:>10.1} {:>8.1} {:>8.3}",
+            "{label:<8} {:>6} {:>10} {:>10.1} {:>8.1} {:>8.1} {:>8.3}",
             self.points,
             self.ops,
             self.bytes as f64 / (1 << 20) as f64,
             self.bytes as f64 / self.ops.max(1) as f64,
+            self.used as f64 / self.ops.max(1) as f64,
             self.emu_s,
         );
     }
@@ -99,8 +105,8 @@ fn main() -> Result<(), String> {
     }
 
     println!(
-        "{:<8} {:>6} {:>10} {:>10} {:>8} {:>8}",
-        "flavour", "points", "ops", "MiB", "B/op", "emu_s"
+        "{:<8} {:>6} {:>10} {:>10} {:>8} {:>8} {:>8}",
+        "flavour", "points", "ops", "MiB", "B/op", "used/op", "emu_s"
     );
     let mut all = Footprint::default();
     for (flavor, total) in flavors.iter().zip(&by_flavor) {
@@ -108,6 +114,7 @@ fn main() -> Result<(), String> {
         all.points += total.points;
         all.ops += total.ops;
         all.bytes += total.bytes;
+        all.used += total.used;
         all.emu_s += total.emu_s;
     }
     all.print("all");

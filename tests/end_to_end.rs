@@ -68,11 +68,12 @@ fn timing_model_runs_every_kernel_trace() {
 
 #[test]
 fn recorded_ops_own_no_register_or_line_heap() {
-    // Registers and access lines live in per-trace arenas, so no op the
-    // emulator records owns a heap block for them: the op's `srcs`, `dests`
-    // and `mem_lines` fields are zero-sized and cannot hold one.
+    // Registers, access lines and stream chunk references live in
+    // per-trace arenas, so no op the emulator records owns a heap block:
+    // an op is a fixed-size record with no drop glue.
     let op_bytes = std::mem::size_of::<TraceOp>();
-    assert!(op_bytes <= 104, "TraceOp is {op_bytes} bytes");
+    assert!(op_bytes <= 40, "TraceOp is {op_bytes} bytes");
+    assert!(!std::mem::needs_drop::<TraceOp>());
     for bench in uve_sweep::spec::catalog(true) {
         for flavor in Flavor::all() {
             let run = run_checked(bench.as_ref(), flavor).unwrap_or_else(|e| panic!("{e}"));
@@ -90,9 +91,12 @@ fn traces_expose_stream_structure() {
         let uve = run_checked(bench.as_ref(), Flavor::Uve).unwrap();
         let t = &uve.result.trace;
         assert!(!t.streams.is_empty(), "{} has no streams", bench.name());
-        // Every consumed chunk index must exist in its stream's side table.
+        // Every UVE kernel consumes or produces stream chunks, and every
+        // chunk an op names must exist in its stream's side table.
+        let mut refs = 0;
         for op in &t.ops {
-            for &(inst, chunk) in op.stream_reads.iter().chain(&op.stream_writes) {
+            for &(inst, chunk) in t.stream_reads(op).iter().chain(t.stream_writes(op)) {
+                refs += 1;
                 assert!(
                     (chunk as usize) < t.streams[inst as usize].chunks.len(),
                     "{}: dangling chunk reference",
@@ -100,6 +104,7 @@ fn traces_expose_stream_structure() {
                 );
             }
         }
+        assert!(refs > 0, "{}: no op names a stream chunk", bench.name());
         // Scalar flavours never touch streams.
         let scalar = run_checked(bench.as_ref(), Flavor::Scalar).unwrap();
         assert!(scalar.result.trace.streams.is_empty());

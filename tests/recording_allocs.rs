@@ -1,7 +1,7 @@
-//! Recording a trace allocates nothing per op: an op's registers and lines
-//! go into per-trace arenas and its operand lists are inline, so the heap
-//! calls made inside `Emulator::run` are the growth steps of a few vectors
-//! and the pages a store touches first.
+//! Recording a trace allocates nothing per op: an op's registers, lines
+//! and stream chunk references go into per-trace arenas and its operand
+//! lists are inline, so the heap calls made inside `Emulator::run` are the
+//! growth steps of a few vectors and the pages a store touches first.
 //!
 //! The test binary installs its own global allocator, which counts the
 //! calls each thread makes.
@@ -57,8 +57,9 @@ fn calls() -> u64 {
 }
 
 /// Most heap calls one traced scalar run may make. The op table and the
-/// two arenas grow by doubling, so a run of `n` ops needs about
-/// `3 * log2(n)` calls; the small catalog's runs make 29–51 in all.
+/// register and line arenas grow by doubling, so a run of `n` ops needs
+/// about `3 * log2(n)` calls, plus one for the run's table of each
+/// instruction's operands (a scalar run references no stream chunk).
 const MAX_CALLS: u64 = 64;
 
 #[test]
