@@ -129,7 +129,9 @@ echo "== indirect packing: both-mode conform smoke + MAMR-Ind assertion =="
 # checked-in perf-trajectory artifact; fail if the numbers drifted.
 # The serial run's peak RSS (`wait4`'s `ru_maxrss`, the binary alone) must
 # stay at or under 200 MiB: the trace cache drops each trace after its
-# batch's last job, so the run holds about one trace at a time, not all 76.
+# batch's last job, so the run holds about one trace at a time, not all 70
+# it emulates (51 for the suite's 57 points, whose scalar-fallback SVE and
+# NEON points share a trace, then 19 unpacked UVE points).
 python3 -c '
 import os, sys
 pid = os.spawnv(os.P_NOWAIT, sys.argv[1], sys.argv[1:])
@@ -176,8 +178,17 @@ echo "== sweep drift gate: 300-row small grid (offline) =="
 #   ./target/release/uve-sweep serial --small --flavors uve,scalar,sve,neon \
 #       --cores 1,2,4 > crates/uve-sweep/tests/golden/small_sweep.txt
 ./target/release/uve-sweep serial --small --flavors uve,scalar,sve,neon \
-    --cores 1,2,4 > target/small_sweep.txt
+    --cores 1,2,4 > target/small_sweep.txt 2> target/small_sweep_stats.txt
 diff -u crates/uve-sweep/tests/golden/small_sweep.txt target/small_sweep.txt
+# A trace is keyed by what emulation reads, so the six scalar-fallback
+# kernels' scalar, SVE and NEON points (one program that never reads the
+# vector length) share one trace: 25 kernels x 4 flavours, less 6 x 2
+# shared, is 88 emulations.
+if ! grep -q '^stats: .* emulations=88$' target/small_sweep_stats.txt; then
+    cat target/small_sweep_stats.txt
+    echo "the 300-row small sweep must emulate 88 times"
+    exit 1
+fi
 
 echo "== distributed sweeps: coordinator + 2 workers vs serial, warm cache =="
 # A real coordinator process and two real worker processes over loopback

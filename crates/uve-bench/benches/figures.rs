@@ -5,9 +5,8 @@
 //! One shared [`uve_bench::Runner`] serves every figure. Its cache keeps a
 //! trace only while the current figure's job list still needs it (plus the
 //! last one used), so the sensitivity sweeps emulate again the points they
-//! share with Fig. 8 and with each other: 89 emulations in all, 20 more
-//! than a cache that kept every trace would make. `--jobs N`/`--serial`/
-//! `--quiet` are honoured.
+//! share with Fig. 8 and with each other: 83 emulations in all with
+//! `--serial`. `--jobs N`/`--serial`/`--quiet` are honoured.
 
 fn main() {
     // Criterion passes `--bench`; any other non-flag argument selects a

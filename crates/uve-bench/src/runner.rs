@@ -8,13 +8,22 @@
 //! [`Point`], replayed under N timing configurations — not N
 //! re-emulations.
 //!
+//! A trace's identity is what emulation reads ([`TraceKey`]): the kernel,
+//! its program, the stream knobs, and the vector length only if the
+//! program may read it. The SVE, NEON and scalar points of a kernel the
+//! compiler did not vectorize run one scalar program, so they share one
+//! trace. Timing results hang off the trace ([`CachedTrace::warm`],
+//! [`CachedTrace::sharded`]): each configuration is replayed once per
+//! trace, whichever flavour asks first.
+//!
 //! Two pieces deliver that:
 //!
 //! - a [`TraceKey`]-indexed cache of emulated traces, with per-key
 //!   once-initialization so concurrent workers never emulate the same
 //!   point twice (an emulation counter makes this assertable), that keeps
-//!   a trace only while a job of a submitted batch needs it or while it is
-//!   the most recently looked-up key ([`Runner::with_traces`]);
+//!   a trace, and with it the timing results computed from it, only while
+//!   a job of a submitted batch needs it or while it is the most recently
+//!   looked-up key ([`Runner::with_traces`]);
 //! - the std-only scoped worker pool of [`crate::pool`], whose
 //!   [`run_isolated`] runs every job under panic isolation and a
 //!   cooperative deadline, one worker per core by default
@@ -35,10 +44,11 @@ use std::time::{Duration, Instant};
 use crate::pool::run_isolated;
 use crate::Measured;
 use uve_core::{EmuConfig, ExecMode, IndirectPacking, StreamFaultPlan, Trace};
-use uve_cpu::{CpuConfig, OoOCore};
+use uve_cpu::{CpuConfig, OoOCore, TimingStats};
 use uve_isa::MemLevel;
 use uve_kernels::{Benchmark, Flavor};
-use uve_mem::Memory;
+use uve_mem::{CoherenceViolation, Memory};
+use uve_smp::{run_sharded, SmpRun};
 
 /// Page-fault injection rate used when a point carries a nonzero
 /// `fault_seed`: roughly one in this many first-touched stream pages
@@ -77,9 +87,13 @@ impl<'a> Point<'a> {
         }
     }
 
-    /// The trace-cache key of this point. This is the trace half of the
-    /// content address the distributed sweep cache (`uve-sweep`) keys
-    /// results by.
+    /// The trace-cache key of this point: what its emulation reads. The
+    /// vector length is in it only if the program may read the length
+    /// ([`uve_isa::Program::may_read_vlen`]), so the SVE, NEON and scalar
+    /// points of a kernel that is scalar code in every baseline flavour
+    /// (`Benchmark::sve_vectorized() == false`) share one key. The
+    /// distributed sweep cache (`uve-sweep`) keys results by the same
+    /// program fingerprint and the flavour's own vector length.
     ///
     /// The program fingerprint is [`uve_core::program_fingerprint`] —
     /// FNV-1a over the canonical instruction-word encoding — so it is
@@ -88,14 +102,14 @@ impl<'a> Point<'a> {
     /// restart (or a rebuild). Golden values are pinned in
     /// `tests/fingerprint_golden.rs`.
     pub fn key(&self) -> TraceKey {
+        let program = self.bench.program(self.flavor);
         TraceKey {
             kernel: self.bench.name(),
-            flavor: self.flavor,
-            vlen: self.flavor.vlen_bytes(),
+            vlen: program.may_read_vlen().then(|| self.flavor.vlen_bytes()),
             stream_level: self.stream_level,
             packing: self.packing,
             fault_seed: self.fault_seed,
-            program: uve_core::program_fingerprint(&self.bench.program(self.flavor)),
+            program: uve_core::program_fingerprint(&program),
         }
     }
 
@@ -132,6 +146,8 @@ impl<'a> Point<'a> {
         CachedTrace {
             trace: result.trace,
             committed: result.committed,
+            warm: Memo::default(),
+            sharded: Memo::default(),
         }
     }
 }
@@ -155,8 +171,11 @@ impl<'a> Job<'a> {
     }
 }
 
-/// Cache key of a functional trace: a [`Point`] with the kernel reduced to
-/// its name and program fingerprint ([`Point::key`]).
+/// Cache key of a functional trace: everything its emulation reads
+/// ([`Point::key`]). The flavour is not in it, only the program the
+/// flavour selects and, if that program may read it, the vector length;
+/// so flavours that run one program at lengths it never reads share a
+/// trace, and the timing results hung off it ([`CachedTrace`]).
 ///
 /// The program fingerprint covers kernel parameters (sizes, unroll
 /// factors) that `name()` alone does not distinguish — e.g. the Fig. 8.E
@@ -165,10 +184,9 @@ impl<'a> Job<'a> {
 pub struct TraceKey {
     /// Kernel name.
     pub kernel: &'static str,
-    /// Code flavour.
-    pub flavor: Flavor,
-    /// Vector length in bytes (implied by the flavour, kept explicit).
-    pub vlen: usize,
+    /// Vector length in bytes; `None` for a program no instruction of
+    /// which may read it.
+    pub vlen: Option<usize>,
     /// Default stream memory level.
     pub stream_level: MemLevel,
     /// Indirect-stream chunking mode.
@@ -179,24 +197,102 @@ pub struct TraceKey {
     pub program: u64,
 }
 
-/// An emulated, correctness-checked functional trace.
+/// An emulated, correctness-checked functional trace, with the timing
+/// results computed from it so far. Each result is computed once per
+/// configuration and lives as long as the trace.
 #[derive(Debug)]
 pub struct CachedTrace {
     /// The dynamic trace.
     pub trace: Trace,
     /// Committed dynamic instructions.
     pub committed: u64,
+    warm: Memo<CpuConfig, TimingStats>,
+    sharded: Memo<(CpuConfig, usize, usize), Result<Arc<SmpRun>, CoherenceViolation>>,
 }
 
-/// Replays a cached trace under `cpu` (warm-run methodology) and packages
-/// the result.
+impl CachedTrace {
+    /// The warm single-core replay of the trace under `cpu`
+    /// ([`OoOCore::run_warm`]), computed on the first call for `cpu`.
+    pub fn warm(&self, cpu: &CpuConfig) -> TimingStats {
+        self.warm
+            .get(cpu, || OoOCore::new(cpu.clone()).run_warm(&self.trace))
+    }
+
+    /// The trace sharded over `cores` cores with `shared` write-shared
+    /// lines, run in lockstep under `cpu` ([`run_sharded`], no periodic
+    /// coherence scan), computed on the first call for these arguments and
+    /// shared, not copied, after it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the single-writer violation the run found.
+    pub fn sharded(
+        &self,
+        cpu: &CpuConfig,
+        cores: usize,
+        shared: usize,
+    ) -> Result<Arc<SmpRun>, CoherenceViolation> {
+        self.sharded.get(&(cpu.clone(), cores, shared), || {
+            run_sharded(cpu, &self.trace, cores, shared, 0).map(Arc::new)
+        })
+    }
+
+    /// Timing results computed from this trace so far: one per distinct
+    /// configuration asked of [`warm`](Self::warm) or
+    /// [`sharded`](Self::sharded).
+    pub fn replays(&self) -> usize {
+        self.warm.computed() + self.sharded.computed()
+    }
+}
+
+/// Results keyed by a configuration, each computed at most once: late
+/// arrivals for a key block on its `OnceLock`. Configurations are few per
+/// trace, so a list searched by equality serves as the map.
+#[derive(Debug)]
+struct Memo<K, V>(Mutex<Vec<(K, Arc<OnceLock<V>>)>>);
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Self(Mutex::new(Vec::new()))
+    }
+}
+
+impl<K: Clone + PartialEq, V: Clone> Memo<K, V> {
+    /// The result for `key`, computing it with `compute` if no call has.
+    fn get(&self, key: &K, compute: impl FnOnce() -> V) -> V {
+        let cell = {
+            let mut entries = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            match entries.iter().find(|(k, _)| k == key) {
+                Some((_, cell)) => Arc::clone(cell),
+                None => {
+                    let cell = Arc::new(OnceLock::new());
+                    entries.push((key.clone(), Arc::clone(&cell)));
+                    cell
+                }
+            }
+        };
+        cell.get_or_init(compute).clone()
+    }
+
+    /// Results computed so far.
+    fn computed(&self) -> usize {
+        let entries = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        entries
+            .iter()
+            .filter(|(_, cell)| cell.get().is_some())
+            .count()
+    }
+}
+
+/// Replays a cached trace under `cpu` (warm-run methodology, computed once
+/// per trace and configuration: [`CachedTrace::warm`]) and packages the
+/// result under `name` and `flavor`.
 pub fn replay(name: &str, flavor: Flavor, cached: &CachedTrace, cpu: &CpuConfig) -> Measured {
-    let stats = OoOCore::new(cpu.clone()).run_warm(&cached.trace);
     Measured {
         name: name.to_string(),
         flavor,
         committed: cached.committed,
-        stats,
+        stats: cached.warm(cpu),
     }
 }
 
@@ -297,6 +393,8 @@ impl Drop for Claim<'_> {
 pub struct JobFailure {
     /// Submission index of the failed job.
     pub index: usize,
+    /// The failed job's flavour (its key names only the program).
+    pub flavor: Flavor,
     /// The failed job's functional point.
     pub key: TraceKey,
     /// The panic message (or timeout marker) that killed the job.
@@ -310,7 +408,13 @@ impl JobFailure {
         let k = &self.key;
         format!(
             "repro: kernel={} flavor={} vlen={} level={:?} packing={:?} fault_seed={} :: {}",
-            k.kernel, k.flavor, k.vlen, k.stream_level, k.packing, k.fault_seed, self.reason
+            k.kernel,
+            self.flavor,
+            self.flavor.vlen_bytes(),
+            k.stream_level,
+            k.packing,
+            k.fault_seed,
+            self.reason
         )
     }
 
@@ -488,6 +592,7 @@ impl Runner {
             if let Err(reason) = outcome {
                 let failure = JobFailure {
                     index,
+                    flavor: points[index].flavor,
                     key: keys[index].clone(),
                     reason: reason.clone(),
                 };
@@ -624,15 +729,15 @@ mod tests {
         assert_eq!(out[0].stats.cycles, out[3].stats.cycles);
     }
 
-    /// The resident cache slots as `(kernel, flavor, pending jobs)`.
-    fn resident(runner: &Runner) -> Vec<(&'static str, Flavor, usize)> {
+    /// The resident cache slots as `(kernel, vector length, pending jobs)`.
+    fn resident(runner: &Runner) -> Vec<(&'static str, Option<usize>, usize)> {
         let slots = runner.cache.slots();
         let mut out: Vec<_> = slots
             .map
             .iter()
-            .map(|(k, s)| (k.kernel, k.flavor, s.pending))
+            .map(|(k, s)| (k.kernel, k.vlen, s.pending))
             .collect();
-        out.sort_by_key(|&(kernel, flavor, _)| (kernel, flavor.to_string()));
+        out.sort_unstable();
         out
     }
 
@@ -654,14 +759,15 @@ mod tests {
             assert_eq!(runner.emulations(), 3, "one emulation per key");
             let slots = resident(&runner);
             assert_eq!(slots.len(), 1, "only the last-used key stays: {slots:?}");
-            let (kernel, flavor, pending) = slots[0];
+            let (kernel, vlen, pending) = slots[0];
             assert_eq!(pending, 0, "no job still pinned");
             let alive: Vec<usize> = (0..points.len())
                 .filter(|&i| weak[i].upgrade().is_some())
                 .collect();
             assert!(!alive.is_empty(), "the last-used trace is alive");
             for &i in &alive {
-                assert_eq!((points[i].bench.name(), points[i].flavor), (kernel, flavor));
+                let key = points[i].key();
+                assert_eq!((key.kernel, key.vlen), (kernel, vlen));
             }
             if runner.mode() == RunMode::Serial {
                 assert_eq!(alive, [3]);
@@ -672,7 +778,7 @@ mod tests {
             let direct = Point::new(&memcpy, Flavor::Uve);
             let kept = Arc::downgrade(&runner.trace(&direct));
             assert!(weak.iter().all(|w| w.upgrade().is_none()));
-            assert_eq!(resident(&runner), [("Memcpy", Flavor::Uve, 0)]);
+            assert_eq!(resident(&runner), [("Memcpy", Some(64), 0)]);
             assert!(kept.upgrade().is_some());
             runner.trace(&direct);
             assert_eq!(runner.emulations(), 4, "the pinned trace is reused");
@@ -706,9 +812,69 @@ mod tests {
         assert!(failures[0].is_timeout(), "{}", failures[0].reason);
         assert_eq!(
             resident(&timed_out),
-            [("SAXPY", Flavor::Scalar, 0)],
+            [("SAXPY", None, 0)],
             "timed-out jobs must not stay pinned"
         );
+    }
+
+    #[test]
+    fn scalar_fallback_flavors_share_one_emulation_and_one_replay_per_config() {
+        use uve_kernels::covariance::Covariance;
+        let bench = Covariance::new(16, 16);
+        let flavors = [Flavor::Sve, Flavor::Neon, Flavor::Scalar];
+        let cpus = [
+            CpuConfig::default(),
+            CpuConfig {
+                rob_entries: 64,
+                ..CpuConfig::default()
+            },
+        ];
+        let jobs: Vec<Job> = cpus
+            .iter()
+            .flat_map(|cpu| flavors.map(|flavor| Job::new(&bench, flavor, cpu.clone())))
+            .collect();
+        let fresh: Vec<TimingStats> = cpus
+            .iter()
+            .map(|cpu| {
+                let cached = Point::new(&bench, Flavor::Scalar).emulate();
+                OoOCore::new(cpu.clone()).run_warm(&cached.trace)
+            })
+            .collect();
+        for runner in [Runner::serial(), Runner::parallel(3)] {
+            let runner = runner.verbose(false);
+            let out = runner.run(&jobs);
+            assert_eq!(runner.emulations(), 1, "one trace for the three flavours");
+            for (m, job) in out.iter().zip(&jobs) {
+                assert_eq!(m.flavor, job.point.flavor, "each result keeps its flavour");
+                assert_eq!(m.name, "Covariance");
+            }
+            for (results, stats) in out.chunks(flavors.len()).zip(&fresh) {
+                for m in results {
+                    assert_eq!(&m.stats, stats, "{}: memoized replay", m.flavor);
+                }
+            }
+            // The shared trace is the last-used key, so it is still
+            // resident: a lookup emulates nothing and shows one replay per
+            // configuration.
+            let cached = runner.trace(&Point::new(&bench, Flavor::Neon));
+            assert_eq!(runner.emulations(), 1);
+            assert_eq!(cached.replays(), cpus.len());
+        }
+    }
+
+    #[test]
+    fn sharded_runs_are_memoized_per_cores_and_shared_lines() {
+        let bench = Saxpy::new(256);
+        let cached = Point::new(&bench, Flavor::Scalar).emulate();
+        let cpu = CpuConfig::default();
+        let two = cached.sharded(&cpu, 2, 16).unwrap();
+        assert!(Arc::ptr_eq(&two, &cached.sharded(&cpu, 2, 16).unwrap()));
+        let fresh = run_sharded(&cpu, &cached.trace, 2, 16, 0).unwrap();
+        assert_eq!(*two, fresh);
+        cached.sharded(&cpu, 2, 0).unwrap();
+        cached.sharded(&cpu, 4, 16).unwrap();
+        cached.warm(&cpu);
+        assert_eq!(cached.replays(), 4);
     }
 
     #[test]
@@ -724,9 +890,9 @@ mod tests {
 
     /// A benchmark whose correctness check always fails, so
     /// [`Point::emulate`] panics — the vehicle for poisoned-job tests.
-    struct PoisonedBench(Saxpy);
+    struct PoisonedBench<B>(B);
 
-    impl Benchmark for PoisonedBench {
+    impl<B: Benchmark> Benchmark for PoisonedBench<B> {
         fn name(&self) -> &'static str {
             "poisoned"
         }
@@ -806,6 +972,23 @@ mod tests {
         assert!(unpacked.contains("fault_seed=0"), "{unpacked}");
         assert!(seeded.contains("packing=Packed"), "{seeded}");
         assert!(seeded.contains("fault_seed=7"), "{seeded}");
+    }
+
+    #[test]
+    fn repro_names_the_failed_jobs_flavor() {
+        // Covariance's SVE and scalar points share one key, which names no
+        // flavour; each failure must still name its own.
+        let bad = PoisonedBench(uve_kernels::covariance::Covariance::new(16, 16));
+        let jobs = [Flavor::Sve, Flavor::Scalar].map(|f| Job::new(&bad, f, CpuConfig::default()));
+        let runner = Runner::serial().verbose(false);
+        runner.run(&jobs);
+        let failures = runner.failures();
+        assert_eq!(failures.len(), 2);
+        assert_eq!(failures[0].key, failures[1].key);
+        for (failure, flavor) in failures.iter().zip(["flavor=SVE ", "flavor=scalar "]) {
+            let repro = failure.repro();
+            assert!(repro.contains(flavor), "{repro}");
+        }
     }
 
     #[test]

@@ -376,18 +376,21 @@ impl Emulator {
     }
 
     /// Reads a vector operand, consuming one chunk if it is an input
-    /// stream. Consumed registers are tracked in `consumed` so a register
-    /// used twice in one instruction is only iterated once.
+    /// stream. Consumed registers are marked in `consumed`, a bit per
+    /// register, so a register used twice in one instruction is only
+    /// iterated once: the second read takes the chunk from the register,
+    /// which holds it until the instruction writes its destination.
     fn read_v(
         &mut self,
         r: VReg,
         trace: &mut Trace,
         op: &mut TraceOp,
-        consumed: &mut Vec<(VReg, VecVal)>,
+        consumed: &mut u32,
         pc: u32,
     ) -> Result<VecVal, EmuError> {
-        if let Some((_, val)) = consumed.iter().find(|(c, _)| *c == r) {
-            return Ok(val.clone());
+        let bit = 1u32 << r.index();
+        if *consumed & bit != 0 {
+            return Ok(self.v[r.index()].clone());
         }
         if self.is_input_stream(r) {
             let mut probe;
@@ -418,8 +421,8 @@ impl Emulator {
                 op.set_stream_close(Some(inst));
                 let _ = self.streams.stop(r);
             }
-            self.v[r.index()] = c.value.clone();
-            consumed.push((r, c.value.clone()));
+            self.v[r.index()].clone_from(&c.value);
+            *consumed |= bit;
             Ok(c.value)
         } else {
             if self.is_output_stream(r) {
@@ -556,6 +559,7 @@ impl Emulator {
                         .trace
                         .ops
                         .push(TraceOp::new(cursor.pc, ExecClass::Simple));
+                    cursor.trace.shrink_to_fit();
                 }
                 cursor.halted = true;
                 return Ok(true);
@@ -670,7 +674,7 @@ impl Emulator {
         let mut op = TraceOp::new(pc, inst.exec_class());
         let (lines_at, chunks_at) = (trace.lines.len(), trace.chunks.len());
         let mut next = pc + 1;
-        let mut consumed: Vec<(VReg, VecVal)> = Vec::new();
+        let mut consumed = 0u32;
         let vlen = self.cfg.vlen_bytes;
 
         match inst {

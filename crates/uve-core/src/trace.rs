@@ -446,6 +446,21 @@ impl Trace {
         &self.chunks[at..at + usize::from(op.n_writes)]
     }
 
+    /// Gives back the growth slack of the op table, the three arenas, the
+    /// stream table and each stream's chunk table. The emulator calls this
+    /// at halt, so a finished trace holds no more than its contents (each
+    /// chunk's own line list aside).
+    pub fn shrink_to_fit(&mut self) {
+        self.ops.shrink_to_fit();
+        self.regs.shrink_to_fit();
+        self.lines.shrink_to_fit();
+        self.chunks.shrink_to_fit();
+        self.streams.shrink_to_fit();
+        for stream in &mut self.streams {
+            stream.chunks.shrink_to_fit();
+        }
+    }
+
     /// Every op's access lines, in op order, for rewriting in place.
     pub fn lines_mut(&mut self) -> &mut [u64] {
         &mut self.lines

@@ -11,13 +11,30 @@ pub const MAX_LANES: usize = 64;
 /// Lane validity implements the paper's automatic out-of-bounds disabling
 /// (feature F5): stream reads shorter than the vector length yield trailing
 /// invalid lanes, and operations propagate invalidity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct VecVal {
     bytes: Vec<u8>,
     /// Element width the lanes were produced at.
     width: ElemWidth,
     /// Per-lane validity (length = bytes.len() / width).
     valid: Vec<bool>,
+}
+
+impl Clone for VecVal {
+    fn clone(&self) -> Self {
+        Self {
+            bytes: self.bytes.clone(),
+            width: self.width,
+            valid: self.valid.clone(),
+        }
+    }
+
+    /// Copies into `self`'s own buffers, allocating only to grow them.
+    fn clone_from(&mut self, source: &Self) {
+        self.bytes.clone_from(&source.bytes);
+        self.width = source.width;
+        self.valid.clone_from(&source.valid);
+    }
 }
 
 impl VecVal {

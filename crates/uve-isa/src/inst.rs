@@ -888,6 +888,36 @@ impl Inst {
         )
     }
 
+    /// `true` unless this is a scalar instruction, whose semantics never
+    /// depend on the vector length. Conservative: every stream, vector and
+    /// predicate instruction counts, whether or not the length changes
+    /// what it does, so a program none of whose instructions may read the
+    /// length emulates identically at every length.
+    pub fn may_read_vlen(&self) -> bool {
+        use Inst::*;
+        !matches!(
+            self,
+            Alu { .. }
+                | AluImm { .. }
+                | Lui { .. }
+                | Ld { .. }
+                | St { .. }
+                | Fld { .. }
+                | Fst { .. }
+                | FAlu { .. }
+                | FMac { .. }
+                | FUn { .. }
+                | FMvXF { .. }
+                | FMvFX { .. }
+                | FCvtFX { .. }
+                | FCvtXF { .. }
+                | Branch { .. }
+                | Jal { .. }
+                | Halt
+                | Nop
+        )
+    }
+
     /// `true` for explicit memory instructions (not streams).
     pub fn is_mem(&self) -> bool {
         matches!(self.exec_class(), ExecClass::Load | ExecClass::Store)
@@ -1002,6 +1032,40 @@ mod tests {
             pred: PReg::new(3),
         };
         assert_eq!(ip.srcs().len(), 3);
+    }
+
+    #[test]
+    fn only_scalar_instructions_are_vector_length_free() {
+        let add = Inst::Alu {
+            op: AluOp::Add,
+            rd: XReg::A0,
+            rs1: XReg::A1,
+            rs2: XReg::A2,
+        };
+        for free in [add, Inst::Halt, Inst::Nop] {
+            assert!(!free.may_read_vlen(), "{free:?}");
+        }
+        let reads = [
+            Inst::CntVl {
+                rd: XReg::A0,
+                width: ElemWidth::Word,
+            },
+            Inst::SsGetVl {
+                rd: XReg::A0,
+                width: ElemWidth::Word,
+            },
+            Inst::VMv {
+                vd: VReg::new(0),
+                vs: VReg::new(1),
+            },
+            Inst::SsCtl {
+                op: StreamCtl::Stop,
+                u: VReg::new(0),
+            },
+        ];
+        for inst in reads {
+            assert!(inst.may_read_vlen(), "{inst:?}");
+        }
     }
 
     #[test]

@@ -37,6 +37,13 @@ impl Program {
         self.insts.is_empty()
     }
 
+    /// `true` if some instruction may read the vector length
+    /// ([`Inst::may_read_vlen`]); `false` for a scalar-only program, whose
+    /// emulation is the same at every vector length.
+    pub fn may_read_vlen(&self) -> bool {
+        self.insts.iter().any(Inst::may_read_vlen)
+    }
+
     /// Fetches the instruction at `pc`, if in range.
     pub fn fetch(&self, pc: u32) -> Option<Inst> {
         self.insts.get(pc as usize).copied()

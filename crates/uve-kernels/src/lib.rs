@@ -126,7 +126,10 @@ pub trait Benchmark: Send + Sync {
 
     /// `false` for the kernels the paper's ARM compiler failed to vectorize
     /// (Seidel-2D, MAMR variants, Covariance, Floyd-Warshall): their
-    /// SVE/NEON flavours are scalar code.
+    /// SVE/NEON flavours are scalar code. Their SVE, NEON and scalar
+    /// programs are then one program that never reads the vector length,
+    /// so the harness emulates it once for all three: they share one
+    /// trace key (`uve_bench::TraceKey`, with no vector length).
     fn sve_vectorized(&self) -> bool {
         true
     }

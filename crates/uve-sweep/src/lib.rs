@@ -23,9 +23,12 @@
 //!
 //! Each worker keeps one functional trace resident: its
 //! [`Runner`](uve_bench::Runner)'s trace cache holds the trace last looked
-//! up. Canonical order puts a functional point's timing variants back to
-//! back, so they share one emulation, and the next functional point drops
-//! the trace before emulating its own. Worker memory stays at one trace
+//! up, with the timing results computed from it. Canonical order puts a
+//! functional point's timing variants back to back, so they share one
+//! emulation, and the next functional point drops the trace before
+//! emulating its own. Flavours that run one program at lengths it never
+//! reads (the scalar-fallback SVE and NEON points) are one functional
+//! point, so a row of one replays nothing another has already run. Worker memory stays at one trace
 //! however long the service runs; a later sweep that asks for new timing
 //! points of an already-finished functional point emulates it again.
 //!

@@ -23,12 +23,11 @@ use crate::messages::{
     get_exec, get_flavor, get_level, get_packing, put_exec, put_flavor, put_level, put_packing,
     Reader, WireError, Writer,
 };
-use uve_bench::{replay, Point, Runner};
+use uve_bench::{Point, Runner};
 use uve_core::{fnv1a_key, ExecMode, IndirectPacking, FNV_OFFSET};
 use uve_cpu::CpuConfig;
 use uve_isa::MemLevel;
 use uve_kernels::{Benchmark, Flavor};
-use uve_smp::run_sharded;
 
 /// Hard cap on the number of grid points in one sweep request.
 pub const MAX_GRID_POINTS: usize = 65_536;
@@ -597,8 +596,9 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 
 /// The content address of one grid point: everything its result depends
 /// on. Composes the encoded [`PointSpec`] (functional knobs, timing
-/// knobs, fault seed, core count) with the resolved kernel's
-/// program fingerprint from [`Point::key`] and the [`MODEL_EPOCH`], so
+/// knobs, fault seed, core count) with the fingerprint of the program the
+/// point's flavour selects (the one [`Point::key`] carries), the
+/// flavour's vector length and the [`MODEL_EPOCH`], so
 /// rows of an older model never hit, and renaming-but-reparametrising
 /// a kernel can never alias a stale cache entry. Every ingredient is
 /// build-stable (the fingerprint is canonical FNV-1a, see
@@ -611,12 +611,12 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 /// Propagates kernel-resolution failures.
 pub fn job_key(point: &PointSpec) -> Result<u64, String> {
     let bench = resolve(&point.kernel, point.small)?;
-    let tk = point.functional(bench.as_ref()).key();
+    let program = uve_core::program_fingerprint(&bench.program(point.flavor));
     let mut w = Writer::new();
     point.encode(&mut w);
     let mut h = fnv1a_bytes(&w.into_bytes());
-    h = fnv1a_key(h, &tk.program.to_le_bytes());
-    h = fnv1a_key(h, &(tk.vlen as u64).to_le_bytes());
+    h = fnv1a_key(h, &program.to_le_bytes());
+    h = fnv1a_key(h, &(point.flavor.vlen_bytes() as u64).to_le_bytes());
     h = fnv1a_key(h, &MODEL_EPOCH.to_le_bytes());
     Ok(h)
 }
@@ -624,8 +624,11 @@ pub fn job_key(point: &PointSpec) -> Result<u64, String> {
 // --- execution ---------------------------------------------------------
 
 /// Evaluates one grid point on `runner`, whose trace cache keeps the last
-/// functional trace looked up, so consecutive points over one trace
-/// emulate it once. This is the **only** executor in the service: workers
+/// functional trace looked up together with the timing results computed
+/// from it, so consecutive points over one trace emulate it once and
+/// replay each configuration once, whichever flavour names it (a
+/// scalar-fallback kernel's SVE, NEON and scalar points share a trace).
+/// This is the **only** executor in the service: workers
 /// and [`run_serial`] — the determinism baseline — both call it, so the
 /// two can only ever differ if scheduling leaked into the model (which
 /// the integration tests exist to rule out).
@@ -640,29 +643,24 @@ pub fn run_point(runner: &Runner, point: &PointSpec) -> Result<PointRow, String>
     let cpu = point.cpu_config();
     let cached = runner.trace(&point.functional(bench.as_ref()));
     if point.cores <= 1 {
-        let m = replay(bench.name(), point.flavor, &cached, &cpu);
+        let stats = cached.warm(&cpu);
         return Ok(PointRow {
             point: point.clone(),
-            cycles: m.stats.cycles,
-            committed: m.committed,
-            rename_blocked: m.stats.rename_blocked_cycles,
-            bus_util_bits: m.stats.bus_utilization.to_bits(),
-            digest: fnv1a_bytes(format!("{:?}", m.stats).as_bytes()),
+            cycles: stats.cycles,
+            committed: cached.committed,
+            rename_blocked: stats.rename_blocked_cycles,
+            bus_util_bits: stats.bus_utilization.to_bits(),
+            digest: fnv1a_bytes(format!("{stats:?}").as_bytes()),
         });
     }
-    let run = run_sharded(
-        &cpu,
-        &cached.trace,
-        point.cores as usize,
-        SHARED_PREFIX_LINES,
-        0,
-    )
-    .map_err(|v| {
-        format!(
-            "{}/{}: coherence violation: {v:?}",
-            point.kernel, point.flavor
-        )
-    })?;
+    let run = cached
+        .sharded(&cpu, point.cores as usize, SHARED_PREFIX_LINES)
+        .map_err(|v| {
+            format!(
+                "{}/{}: coherence violation: {v:?}",
+                point.kernel, point.flavor
+            )
+        })?;
     let mut h = FNV_OFFSET;
     for s in &run.per_core {
         h = fnv1a_key(h, format!("{s:?}").as_bytes());

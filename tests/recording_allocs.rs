@@ -86,3 +86,38 @@ fn traced_scalar_run_allocates_only_to_grow() {
         bench.check(&emu).unwrap_or_else(|e| panic!("{e}"));
     }
 }
+
+/// Most heap calls per recorded op over the small catalog's UVE runs. A
+/// vector value owns two heap blocks (its bytes and its lane flags), so
+/// every vector result still allocates; what the bound holds down is the
+/// copies made on top of that. Keeping a consumed stream chunk in the
+/// register and again in a per-instruction list made 5.63 calls per op
+/// (207 581 for 36 858 ops); one copy, written into the register's own
+/// buffers, makes 4.01 (147 764).
+const MAX_UVE_CALLS_PER_OP: f64 = 4.5;
+
+#[test]
+fn traced_uve_runs_copy_each_consumed_chunk_once() {
+    let (mut made, mut ops) = (0, 0);
+    for bench in uve_sweep::spec::catalog(true) {
+        let flavor = Flavor::Uve;
+        let cfg = EmuConfig {
+            vlen_bytes: flavor.vlen_bytes(),
+            ..EmuConfig::default()
+        };
+        let mut emu = Emulator::new(cfg, Memory::new());
+        bench.setup(&mut emu);
+        let program = bench.program(flavor);
+        let before = calls();
+        let result = emu.run(&program).unwrap_or_else(|e| panic!("{e}"));
+        made += calls() - before;
+        ops += result.trace.ops.len() as u64;
+        bench.check(&emu).unwrap_or_else(|e| panic!("{e}"));
+    }
+    let per_op = made as f64 / ops as f64;
+    println!("UVE: {made} heap calls for {ops} ops ({per_op:.2} per op)");
+    assert!(
+        per_op <= MAX_UVE_CALLS_PER_OP,
+        "{made} heap calls for {ops} recorded UVE ops"
+    );
+}
