@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate. Runs entirely offline: the workspace has no registry
-# dependencies (see the `bench` marker feature in uve-bench; the randomized
-# suites run on the in-tree uve-conform generator), so every step must pass
-# with the network unplugged.
+# dependencies (the randomized suites run on the in-tree uve-conform
+# generator), so every step must pass with the network unplugged.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -115,35 +114,14 @@ diff -u target/smp_serial.txt target/smp_jobs8.txt
 # run above only gives the smp engine a twentieth of the budget).
 ./target/release/uve-conform --engine smp --seed 7 --cases 200 --quiet
 
-echo "== indirect packing: both-mode conform smoke + MAMR-Ind assertion =="
+echo "== indirect packing: both-mode conform smoke =="
 # The pattern and kernel engines diff packed AND unpacked chunking against
 # the same oracle on every case (the `all` run above splits its budget);
 # give each a dedicated slice so both packing modes get real coverage.
 ./target/release/uve-conform --engine pattern --seed 7 --cases 4000 --quiet
 ./target/release/uve-conform --engine kernel --seed 7 --cases 200 --quiet
-# Packed/unpacked A/B over the full suite: asserts every kernel without an
-# indirect modifier is bit-identical across modes.
-./target/release/packing --quiet > /dev/null
-# Headline JSON: asserts the packed MAMR-Ind speedup vs scalar stays >= 1.0x
-# (the paper-deviation fix this gate exists to protect) and refreshes the
-# checked-in perf-trajectory artifact; fail if the numbers drifted.
-# The serial run's peak RSS (`wait4`'s `ru_maxrss`, the binary alone) must
-# stay at or under 200 MiB: the trace cache drops each trace after its
-# batch's last job, so the run holds about one trace at a time, not all 70
-# it emulates (51 for the suite's 57 points, whose scalar-fallback SVE and
-# NEON points share a trace, then 19 unpacked UVE points).
-python3 -c '
-import os, sys
-pid = os.spawnv(os.P_NOWAIT, sys.argv[1], sys.argv[1:])
-_, status, usage = os.wait4(pid, 0)
-mib = usage.ru_maxrss / 1024
-print(f"fig8 --panel b --serial peak RSS: {mib:.0f} MiB (limit 200)", file=sys.stderr)
-code = os.waitstatus_to_exitcode(status)
-sys.exit(code if code else int(mib > 200))
-' ./target/release/fig8 --panel b --serial --quiet --json BENCH_fig8.json > /dev/null
-git diff --exit-code -- BENCH_fig8.json
 
-echo "== assembler + DSP/sparse families: asm smoke, family conformance, drift gate =="
+echo "== assembler + DSP/sparse families: asm smoke, family conformance =="
 # 2000 dedicated asm-engine cases: assemble->disassemble->assemble text
 # fixpoints on decorated programs, `.include` split equivalence, and
 # hostile byte-level mutants that must produce spanned typed errors or
@@ -153,12 +131,49 @@ echo "== assembler + DSP/sparse families: asm smoke, family conformance, drift g
 # DSP and sparse family arms (6 of the 25 kernel variants the generator
 # draws from) get real coverage — including the `.uve`-text UVE flavors.
 ./target/release/uve-conform --engine kernel --seed 7 --cases 600 --quiet
-# Per-kernel vs-scalar ratios for both families. In-binary asserts: no
-# kernel below 0.95x of its scalar twin (Histogram is scatter-serialized
-# parity by design) and each family's geomean >= 1.0x; the JSON artifact
-# is drift-gated like BENCH_fig8.json.
-./target/release/dsp --quiet --json BENCH_dsp.json > /dev/null
-git diff --exit-code -- BENCH_dsp.json
+
+echo "== evaluation plan: every figure in one batch, drift-gated =="
+# Every figure (Figs. 8-11, Sec. VI-B/VI-C, the packing and model
+# ablations, the DSP/sparse families) runs as one serial batch. In-binary
+# asserts: every kernel without an indirect modifier is bit-identical
+# across packing modes, the packed MAMR-Ind speedup vs scalar stays
+# >= 1.0x, no DSP/sparse kernel falls below 0.95x of its scalar twin
+# (Histogram is scatter-serialized parity by design), each family's
+# geomean stays >= 1.0x, and --explain panics unless the cycle-accounting
+# conservation laws hold for every measurement. stdout, explain reports
+# included, must match the checked-in table byte for byte, and the JSON
+# artifacts must not drift. A deliberate output change regenerates all
+# three with the same command:
+#   ./target/release/figures --serial --quiet --explain --json . \
+#       > crates/uve-bench/tests/golden/figures.txt
+# The run's peak RSS (`wait4`'s `ru_maxrss`, the binary alone) must stay
+# at or under 200 MiB: the batch runs its jobs grouped by trace, so it
+# holds one trace at a time.
+python3 -c '
+import os, sys
+pid = os.spawnv(os.P_NOWAIT, sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+mib = usage.ru_maxrss / 1024
+print(f"figures --serial peak RSS: {mib:.0f} MiB (limit 200)", file=sys.stderr)
+code = os.waitstatus_to_exitcode(status)
+sys.exit(code if code else int(mib > 200))
+' ./target/release/figures --serial --explain --json . \
+    > target/figures.txt 2> target/figures_stderr.txt || {
+    tail -n 20 target/figures_stderr.txt
+    exit 1
+}
+grep -E '^\[runner\] |peak RSS' target/figures_stderr.txt
+diff -u crates/uve-bench/tests/golden/figures.txt target/figures.txt
+git diff --exit-code -- BENCH_fig8.json BENCH_dsp.json
+# One batch emulates each distinct trace once: 107 traces behind 245 jobs
+# (the nine figures run separately emulated 176 times).
+if ! grep -q '^\[runner\] .*, 107 emulation(s)$' target/figures_stderr.txt; then
+    echo "the evaluation plan must emulate 107 times, once per distinct trace"
+    exit 1
+fi
+# Worker scheduling must not change a byte.
+./target/release/figures --jobs 2 --quiet --explain --json . > target/figures_jobs2.txt
+diff -u target/figures.txt target/figures_jobs2.txt
 
 echo "== functional emulation: suite digest drift gate =="
 # The 19-kernel suite × 4 flavors, emulated untraced. In-binary asserts:
@@ -275,10 +290,7 @@ diff -u target/sweep_crash_serial.txt target/sweep_crash_snap.txt
 wait "$CRASH_PID" 2>/dev/null || true
 trap - EXIT
 
-echo "== observability: --explain smoke + golden trace (offline) =="
-# One figure run with stall attribution: maybe_explain() panics unless the
-# cycle-accounting conservation laws hold for every kernel in the table.
-./target/release/fig8 --panel e --explain --quiet > /dev/null
+echo "== observability: golden trace (offline) =="
 # The Chrome trace exporter must reproduce the checked-in golden snapshot
 # byte-for-byte (regenerate with the same command if the model changes).
 ./target/release/trace --tiny-saxpy --out target/tiny_saxpy_trace.json

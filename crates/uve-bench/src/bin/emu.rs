@@ -16,7 +16,7 @@
 //! Usage: `emu [--jobs N | --serial] [--quiet] [--json FILE]`.
 
 use std::time::Instant;
-use uve_bench::{default_jobs, header, row, run_indexed, Cli, RunMode};
+use uve_bench::{default_jobs, header, row, run_indexed, Cli, RunMode, Usage};
 use uve_core::{EmuConfig, Emulator};
 use uve_kernels::{evaluation_suite, Benchmark, Flavor};
 use uve_mem::{fnv1a, Memory, FNV_OFFSET};
@@ -73,7 +73,11 @@ fn suite_digest(points: &[(String, Flavor)], outcomes: &[Outcome]) -> u64 {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&Usage {
+        switches: &["--serial", "--quiet"],
+        values: &["--jobs", "--json"],
+        positional: 0,
+    });
     let quiet = cli.has("--quiet");
     let jobs = if cli.has("--serial") {
         1

@@ -3,12 +3,12 @@
 //! argument: baseline loops are dominated by memory/indexing overhead that
 //! streaming removes).
 //!
-//! Usage: `kernels_table [--jobs N | --serial] [--quiet]`. The table needs
+//! Usage: `kernels_table [--jobs N | --serial] [--quiet] [--timeout SECS]`. The table needs
 //! functional traces only (no timing replay): each point's mix is taken
 //! from its trace on the worker pool, which drops the trace after, and the
 //! rows are then formatted serially in suite order.
 
-use uve_bench::{row, Cli, Point, Runner};
+use uve_bench::{row, Cli, Point, Runner, Usage};
 use uve_isa::ExecClass;
 use uve_kernels::{evaluation_suite, Flavor};
 
@@ -40,6 +40,11 @@ fn mix(trace: &uve_core::Trace) -> (f64, f64, f64) {
 }
 
 fn main() {
+    let cli = Cli::parse(&Usage {
+        switches: &["--serial", "--quiet"],
+        values: &["--jobs", "--timeout"],
+        positional: 0,
+    });
     println!("=== Fig. 8 (left) — benchmark table + measured instruction mix ===");
     row(
         "kernel",
@@ -52,7 +57,7 @@ fn main() {
             "scalar mem%".into(),
         ],
     );
-    let runner = Runner::from_cli(&Cli::parse());
+    let runner = Runner::from_cli(&cli);
     let suite = evaluation_suite();
     let points: Vec<Point> = suite
         .iter()

@@ -14,7 +14,7 @@
 //! smp [--mode sharded|mp|both] [--cores 1,2,4] [--kernels a,b,c]
 //!     [--flavor uve|sve|neon|scalar] [--shared N] [--quantum N]
 //!     [--check-every N] [--small] [--jobs N | --serial] [--quiet]
-//!     [--explain]
+//!     [--explain] [--timeout SECS]
 //! ```
 //!
 //! Scheduling is deterministic: `--jobs 1` and `--jobs 8` print
@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use uve_bench::{header, row, CachedTrace, Cli, Measured, Point, Runner};
+use uve_bench::{header, row, usage_error, CachedTrace, Cli, Measured, Point, Runner, Usage};
 use uve_cpu::CpuConfig;
 use uve_kernels::{Benchmark, Flavor};
 use uve_smp::{relocate_trace, run_multiprogrammed, run_sharded, MpConfig, SmpRun};
@@ -39,12 +39,27 @@ fn suite(small: bool) -> Vec<Box<dyn Benchmark>> {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&Usage {
+        switches: &["--small", "--serial", "--quiet", "--explain"],
+        values: &[
+            "--mode",
+            "--cores",
+            "--kernels",
+            "--flavor",
+            "--shared",
+            "--quantum",
+            "--check-every",
+            "--jobs",
+            "--timeout",
+        ],
+        positional: 0,
+    });
     let runner = Runner::from_cli(&cli);
     let mode = cli.value("--mode").unwrap_or("both").to_string();
     if !matches!(mode.as_str(), "sharded" | "mp" | "both") {
-        eprintln!("unknown --mode {mode:?}: expected sharded, mp, or both");
-        std::process::exit(2);
+        usage_error(&format!(
+            "unknown --mode {mode:?}: expected sharded, mp, or both"
+        ));
     }
     let mut cores: Vec<usize> = cli.parsed_list("--cores");
     if cores.is_empty() {
@@ -58,10 +73,7 @@ fn main() {
         .value("--flavor")
         .unwrap_or("scalar")
         .parse()
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+        .unwrap_or_else(|e: String| usage_error(&e));
     let shared = cli.parsed::<usize>("--shared").unwrap_or(16);
     let quantum = cli.parsed::<u64>("--quantum").unwrap_or(5_000);
     let check_every = cli.parsed::<u64>("--check-every").unwrap_or(0);

@@ -11,13 +11,17 @@
 //! in `chrome://tracing` or <https://ui.perfetto.dev>. `--tiny-saxpy` is
 //! the golden-snapshot subject of `tests/golden_trace.rs`.
 
-use uve_bench::{tiny_saxpy_trace, trace_kernel, Cli};
+use uve_bench::{tiny_saxpy_trace, trace_kernel, usage_error, Cli, Usage};
 use uve_kernels::{evaluation_suite, Flavor};
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&Usage {
+        switches: &["--tiny-saxpy"],
+        values: &["--out"],
+        positional: 2,
+    });
     let out_path = cli.value("--out").map(str::to_string);
-    let free = cli.free(&["--out"]);
+    let free = cli.positional();
 
     let json = if cli.has("--tiny-saxpy") {
         tiny_saxpy_trace()
@@ -35,10 +39,7 @@ fn main() {
         let flavor = free
             .get(1)
             .map_or(Ok(Flavor::Uve), |f| f.parse())
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
+            .unwrap_or_else(|e: String| usage_error(&e));
         let suite = evaluation_suite();
         let Some(bench) = suite.iter().find(|b| b.name().eq_ignore_ascii_case(kernel)) else {
             eprintln!("unknown kernel {kernel:?}; kernels:");

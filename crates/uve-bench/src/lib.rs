@@ -1,7 +1,8 @@
 //! Evaluation harness regenerating the tables and figures of the UVE paper.
 //!
-//! Each figure has a binary under `src/bin` (see `DESIGN.md` for the
-//! experiment index):
+//! The `figures` binary runs the evaluation as one plan ([`figures`]; see
+//! `DESIGN.md` for the experiment index). It takes figure names, none
+//! meaning all:
 //!
 //! - `fig8` — code reduction, speed-up, rename blocks/cycle, bus
 //!   utilization, and the GEMM unrolling study (panels A–E);
@@ -10,11 +11,19 @@
 //! - `fig11` — sensitivity to the streaming cache level;
 //! - `modules` — sensitivity to the number of Stream Processing Modules
 //!   (Sec. VI-B);
-//! - `overheads` — the Streaming Engine storage inventory (Sec. VI-C).
+//! - `overheads` — the Streaming Engine storage inventory (Sec. VI-C);
+//! - `packing` — the indirect-packing ablation, UVE vs scalar;
+//! - `ablations` — the UVE-vs-SVE speed-up under model variations;
+//! - `dsp` — the DSP and sparse families against their scalar twins.
 //!
-//! All binaries run the same flow: functional emulation of a kernel
-//! ([`uve_kernels`]) producing a dynamic trace, then the cycle-level
-//! out-of-order model ([`uve_cpu`]) with the Table I configuration.
+//! The selected figures' jobs run as one [`Runner`] batch, which emulates
+//! each distinct trace once. Every figure runs the same flow: functional
+//! emulation of a kernel ([`uve_kernels`]) producing a dynamic trace, then
+//! the cycle-level out-of-order model ([`uve_cpu`]) with the Table I
+//! configuration (or the figure's variation of it). The other binaries
+//! read what the plan does not: `kernels_table` the traces' instruction
+//! mix, `emu` untimed emulation, `smp` multicore runs and `trace` one
+//! run's pipeline events.
 
 #![warn(missing_docs)]
 
@@ -26,7 +35,7 @@ pub mod report;
 pub mod runner;
 
 pub use chrome::{chrome_trace_json, tiny_saxpy_trace, trace_kernel};
-pub use cli::Cli;
+pub use cli::{usage_error, Cli, Usage};
 pub use pool::{isolated, panic_message, run_indexed, run_isolated};
 pub use report::{ReportRow, StatsReport};
 pub use runner::{

@@ -573,21 +573,29 @@ impl Runner {
     ///
     /// The batch counts each key's items up front, so every trace is
     /// emulated at most once and dropped after its last item (unless it
-    /// is the last-used key). Each item, its emulation included, runs
-    /// under the same panic isolation and deadline: an item that fails is
-    /// `Err(reason)` in its slot and is recorded in [`Runner::failures`],
-    /// and the rest of the batch keeps running.
+    /// is the last-used key). Items run grouped by key, keys in the order
+    /// of their first item, so a serial batch holds one trace at a time
+    /// whatever the order of `points`; `i` is still the submission index.
+    /// Each item, its emulation included, runs under the same panic
+    /// isolation and deadline: an item that fails is `Err(reason)` in its
+    /// slot and is recorded in [`Runner::failures`], and the rest of the
+    /// batch keeps running.
     pub fn with_traces<T, F>(&self, points: &[Point<'_>], f: F) -> Vec<Result<T, String>>
     where
         T: Send,
         F: Fn(usize, &Arc<CachedTrace>) -> T + Sync,
     {
         let keys: Vec<TraceKey> = points.iter().map(Point::key).collect();
+        let order = grouped_by_key(&keys);
         self.cache.submit(&keys);
-        let outcomes = run_isolated(self.mode, points.len(), self.timeout, |i| {
+        let grouped = run_isolated(self.mode, points.len(), self.timeout, |j| {
+            let i = order[j];
             let _claim = Claim(&self.cache, &keys[i]);
             f(i, &self.cache.get(&keys[i], &points[i]))
         });
+        let mut indexed: Vec<_> = order.iter().copied().zip(grouped).collect();
+        indexed.sort_unstable_by_key(|&(i, _)| i);
+        let outcomes: Vec<Result<T, String>> = indexed.into_iter().map(|(_, o)| o).collect();
         for (index, outcome) in outcomes.iter().enumerate() {
             if let Err(reason) = outcome {
                 let failure = JobFailure {
@@ -691,6 +699,20 @@ impl Runner {
     }
 }
 
+/// The indices of `keys` grouped by key, keys in the order of their first
+/// index, each group in index order.
+fn grouped_by_key(keys: &[TraceKey]) -> Vec<usize> {
+    let mut first = HashMap::new();
+    let group: Vec<usize> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| *first.entry(key).or_insert(i))
+        .collect();
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| group[i]);
+    order
+}
+
 /// One worker per available core (1 if the count is unknown).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -783,6 +805,67 @@ mod tests {
             runner.trace(&direct);
             assert_eq!(runner.emulations(), 4, "the pinned trace is reused");
         }
+    }
+
+    #[test]
+    fn interleaved_keys_run_grouped_one_trace_at_a_time() {
+        let (saxpy, memcpy) = (Saxpy::new(256), uve_kernels::memcpy::Memcpy::new(256));
+        let bad = PoisonedBench(Saxpy::new(256));
+        let (a, b, c) = (
+            Point::new(&saxpy, Flavor::Uve),
+            Point::new(&memcpy, Flavor::Uve),
+            Point::new(&bad, Flavor::Uve),
+        );
+        let points = [a, b, a, b, c, a];
+        // Each item returns its index, its trace's committed count and the
+        // number of traces alive while it runs.
+        let run = |runner: &Runner| {
+            let seen = Mutex::new(Vec::new());
+            let out = runner.with_traces(&points, |i, cached| {
+                let mut seen = seen.lock().unwrap();
+                seen.push((i, Arc::downgrade(cached)));
+                let mut alive: Vec<*const CachedTrace> = seen
+                    .iter()
+                    .filter(|(_, w)| w.strong_count() > 0)
+                    .map(|(_, w)| w.as_ptr())
+                    .collect();
+                alive.sort_unstable();
+                alive.dedup();
+                (i, cached.committed, alive.len())
+            });
+            let order: Vec<usize> = seen.into_inner().unwrap().iter().map(|(i, _)| *i).collect();
+            (out, order)
+        };
+
+        let serial = Runner::serial();
+        let (out, order) = run(&serial);
+        assert_eq!(order, [0, 2, 5, 1, 3], "grouped by key, keys by first item");
+        for (i, slot) in out.iter().enumerate() {
+            if i == 4 {
+                assert!(slot.is_err(), "the poisoned item fails in its own slot");
+                continue;
+            }
+            let committed = points[i].emulate().committed;
+            assert_eq!(
+                slot,
+                &Ok((i, committed, 1)),
+                "item {i}: its own trace, alone"
+            );
+        }
+        let failures = serial.failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].index, 4, "a failure names its submission index");
+        assert_eq!(serial.emulations(), 3, "one emulation per key");
+
+        let parallel = Runner::parallel(3);
+        let (pout, _) = run(&parallel);
+        for (p, s) in pout.iter().zip(&out) {
+            assert_eq!(
+                p.as_ref().ok().map(|&(i, committed, _)| (i, committed)),
+                s.as_ref().ok().map(|&(i, committed, _)| (i, committed))
+            );
+        }
+        assert_eq!(parallel.failures()[0].index, 4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A persistent **coordinator** accepts sweep requests — kernel × flavor ×
 //! vector-length × cores × fault-seed grids over the same `Runner`/`Job`
-//! machinery the figure binaries use — shards the grid across **worker**
+//! machinery the `figures` binary uses — shards the grid across **worker**
 //! processes over a length-prefixed TCP protocol ([`messages`]), streams
 //! progress back to clients, and memoizes finished rows in a
 //! content-addressed [`ResultCache`] keyed by the full job identity
